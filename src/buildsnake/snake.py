@@ -161,18 +161,38 @@ def shape_force(
 ) -> np.ndarray:
     """Central finite-difference force of the shape-similarity energy.
 
-    Perturbing one snake point changes a single row of the distance matrix,
-    so the perturbed Hausdorff distances are reassembled from cached row and
-    column extrema instead of recomputing the full matrix per point.
+    Each snake point i is moved by +-step along x and along y, and the
+    Hausdorff distance to the boundary is taken for each of the four moved
+    contours. A move of point i changes only row i of the distance matrix
+    d[i, j] = |a_i - b_j|, and by the triangle inequality changes each entry
+    by at most step. So the moved row's minimum can only come from pairs with
+    d[i, j] <= rowmin[i] + 2 reach, and column j can only fall below its
+    minimum colmin[j] at pairs with d[i, j] < colmin[j] + reach, where
+    reach = step plus a slack far above the rounding error of the distances.
+    Moved distances are computed only on those pairs; every other column
+    contributes exactly colmin[j] to the directed distance boundary -> snake.
+    Min and max are exact, and a pair admitted needlessly cannot change them,
+    so the result is the same, bit for bit, as moving every pair.
     """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if step <= 0:
+        raise ValueError("step must be positive")
     a = np.asarray(snake, dtype=float)
     b = np.asarray(boundary, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("snake and boundary must be non-empty")
-    n = len(a)
-    dx = a[:, 0][:, None] - b[:, 0][None, :]
-    dy = a[:, 1][:, None] - b[:, 1][None, :]
-    d = np.sqrt(dx * dx + dy * dy)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("snake and boundary must be finite")
+    n, m = len(a), len(b)
+    cols = np.arange(m)
+    # d = sqrt(dx * dx + dy * dy), built in place to skip n x m temporaries.
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    d *= d
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    dy *= dy
+    d += dy
+    np.sqrt(d, out=d)
 
     rowmin = d.min(axis=1)
     i1 = int(np.argmax(rowmin))
@@ -182,23 +202,32 @@ def shape_force(
     excl_rowmax = np.full(n, rowmin[i1])
     excl_rowmax[i1] = second
 
-    colmin = d.min(axis=0)
     colarg = d.argmin(axis=0)
-    d2 = d.copy()
-    d2[colarg, np.arange(len(b))] = np.inf
-    colmin2 = d2.min(axis=0)
-    # (n, m): column minima as seen with row i removed.
-    excl_colmin = np.where(colarg[None, :] == np.arange(n)[:, None], colmin2[None, :], colmin[None, :])
+    colmin = d[colarg, cols]
+    # Distances round off by ~1e-16 of the coordinate scale; the slack is ample.
+    reach = step + 1e-9 * (1.0 + step + max(np.abs(a).max(), np.abs(b).max()))
+    near = (d <= (rowmin + 2.0 * reach)[:, None]) | (d < colmin + reach)
+    # Largest column minimum among the columns row i's move cannot lower.
+    outside = np.where(near, -np.inf, colmin).max(axis=1)
+    # Second-smallest entry of each column; d is not needed after this.
+    d[colarg, cols] = np.inf
+    colmin2 = d.min(axis=0)
+
+    # Each row keeps at least its own minimum, so every reduceat run is non-empty.
+    ii, jj = np.divmod(np.flatnonzero(near), m)
+    starts = np.searchsorted(ii, np.arange(n))
+    # Column minima as seen with row i removed.
+    excl_colmin = np.where(colarg[jj] == ii, colmin2[jj], colmin[jj])
 
     offsets = np.array([[step, 0.0], [-step, 0.0], [0.0, step], [0.0, -step]])
-    px = a[None, :, 0:1] + offsets[:, None, 0:1]  # (4, n, 1)
-    py = a[None, :, 1:2] + offsets[:, None, 1:2]
-    ndx = px - b[None, None, :, 0].reshape(1, 1, -1)
-    ndy = py - b[None, None, :, 1].reshape(1, 1, -1)
-    newrows = np.sqrt(ndx * ndx + ndy * ndy)  # (4, n, m)
+    px = a[ii, 0] + offsets[:, 0:1]  # (4, pairs)
+    py = a[ii, 1] + offsets[:, 1:2]
+    ndx = px - b[jj, 0]
+    ndy = py - b[jj, 1]
+    newrows = np.sqrt(ndx * ndx + ndy * ndy)
 
-    d_ab = np.maximum(excl_rowmax[None, :], newrows.min(axis=2))
-    d_ba = np.minimum(excl_colmin[None, :, :], newrows).max(axis=2)
+    d_ab = np.maximum(excl_rowmax, np.minimum.reduceat(newrows, starts, axis=1))
+    d_ba = np.maximum(outside, np.maximum.reduceat(np.minimum(excl_colmin, newrows), starts, axis=1))
     dh = np.maximum(d_ab, d_ba)
     e = 1.0 - np.exp(-(dh * dh) / delta)
     fx = -weight * (e[0] - e[1]) / (2.0 * step)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from buildsnake import snake as snake_module
+from buildsnake.cli import PIPELINE_DEFAULTS, extract_buildings
 from buildsnake.config import SnakeConfig
 from buildsnake.geometry import GridSpec, polygon_perimeter, rasterize_polygon
 from buildsnake.snake import (
@@ -116,6 +118,123 @@ def test_shape_force_agrees_with_fine_directional_differences():
         shape_sim_energy(plus, ref, 50.0) - shape_sim_energy(minus, ref, 50.0)
     ) / (2 * h)
     assert directional == pytest.approx(float(np.linalg.norm(f)), rel=0.05)
+
+
+def dense_shape_force(snake, boundary, delta, weight=1.0, step=1.0):
+    """Reference shape force: every pair of a dense (4, n, m) moved-distance tensor.
+
+    Perturbing one snake point changes a single row of the distance matrix,
+    so the perturbed Hausdorff distances are reassembled from cached row and
+    column extrema instead of recomputing the full matrix per point.
+    """
+    a = np.asarray(snake, dtype=float)
+    b = np.asarray(boundary, dtype=float)
+    n = len(a)
+    dx = a[:, 0][:, None] - b[:, 0][None, :]
+    dy = a[:, 1][:, None] - b[:, 1][None, :]
+    d = np.sqrt(dx * dx + dy * dy)
+
+    rowmin = d.min(axis=1)
+    i1 = int(np.argmax(rowmin))
+    masked = rowmin.copy()
+    masked[i1] = -np.inf
+    second = masked.max() if n > 1 else -np.inf
+    excl_rowmax = np.full(n, rowmin[i1])
+    excl_rowmax[i1] = second
+
+    colmin = d.min(axis=0)
+    colarg = d.argmin(axis=0)
+    d2 = d.copy()
+    d2[colarg, np.arange(len(b))] = np.inf
+    colmin2 = d2.min(axis=0)
+    # (n, m): column minima as seen with row i removed.
+    excl_colmin = np.where(colarg[None, :] == np.arange(n)[:, None], colmin2[None, :], colmin[None, :])
+
+    offsets = np.array([[step, 0.0], [-step, 0.0], [0.0, step], [0.0, -step]])
+    px = a[None, :, 0:1] + offsets[:, None, 0:1]  # (4, n, 1)
+    py = a[None, :, 1:2] + offsets[:, None, 1:2]
+    ndx = px - b[None, None, :, 0].reshape(1, 1, -1)
+    ndy = py - b[None, None, :, 1].reshape(1, 1, -1)
+    newrows = np.sqrt(ndx * ndx + ndy * ndy)  # (4, n, m)
+
+    d_ab = np.maximum(excl_rowmax[None, :], newrows.min(axis=2))
+    d_ba = np.minimum(excl_colmin[None, :, :], newrows).max(axis=2)
+    dh = np.maximum(d_ab, d_ba)
+    e = 1.0 - np.exp(-(dh * dh) / delta)
+    fx = -weight * (e[0] - e[1]) / (2.0 * step)
+    fy = -weight * (e[2] - e[3]) / (2.0 * step)
+    return np.column_stack([fx, fy])
+
+
+def _oracle_cases(rng):
+    """(snake, boundary) pairs: noisy, tied, coincident, distant and large."""
+    ref = circle(48, r=15.0)
+    noisy = ref + rng.normal(0, 2.0, ref.shape)
+    lattice = np.round(circle(40, r=9.0) + rng.normal(0, 1.0, (40, 2)))
+    yield "noisy", noisy, ref
+    yield "n=1", noisy[:1], ref
+    yield "m=1", noisy, ref[:1]
+    yield "n=m=1", noisy[:1], ref[:1]
+    yield "coincident", ref, ref.copy()
+    # Integer points tie in many row and column minima, and a doubled
+    # reference ties every column minimum across two rows.
+    yield "lattice", lattice, np.round(circle(30, r=9.0))
+    yield "doubled", ref, np.repeat(ref, 2, axis=0)
+    yield "shifted-half", noisy, np.vstack([ref[:24], ref[24:] + [6.0, 0.0]])
+    yield "far", noisy + [400.0, -250.0], ref
+    yield "around-1e4", noisy + 1e4, ref + 1e4 + rng.normal(0, 0.5, ref.shape)
+
+
+@pytest.mark.parametrize("step", [0.25, 1.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shape_force_equals_dense_oracle(seed, step):
+    rng = np.random.default_rng(seed)
+    for name, snake, ref in _oracle_cases(rng):
+        got = shape_force(snake, ref, 50.0, weight=0.7, step=step)
+        want = dense_shape_force(snake, ref, 50.0, weight=0.7, step=step)
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("step", [0.25, 1.0, 1.7, 3.0])
+def test_shape_force_equals_dense_oracle_at_rounding_ties(step):
+    # Point p sits between b1 and b2, nearly collinear along x, with b2 just
+    # 2 step farther than b1: after the +step move both are as far, up to
+    # rounding at ~1e4 px. Without slack in the pruning bound, b2 is dropped
+    # in some of these cases (at step 1.7) while it holds the moved minimum.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        p = rng.uniform(9e3, 1.1e4, 2)
+        r = rng.uniform(2.0, 20.0)
+        h = rng.uniform(0.0, 1e-5, 2)
+        ref = np.array([[p[0] - r, p[1] + h[0]], [p[0] + r + 2.0 * step, p[1] + h[1]]])
+        snake = np.vstack([p, ref])
+        got = shape_force(snake, ref, 50.0, step=step)
+        assert np.array_equal(got, dense_shape_force(snake, ref, 50.0, step=step))
+
+
+def test_shape_force_equals_dense_oracle_on_preset_contours(quebec_scene, monkeypatch):
+    # Every shape-force call of a short proposed-mode run on the bundled scene.
+    _, img, cloud, _, t = quebec_scene
+    calls = []
+
+    def recording(snake, boundary, delta, weight=1.0, step=1.0):
+        calls.append((snake.copy(), boundary.copy(), delta, weight, step))
+        return shape_force(snake, boundary, delta, weight, step)
+
+    monkeypatch.setattr(snake_module, "shape_force", recording)
+    pipeline = dict(PIPELINE_DEFAULTS, workers=1)
+    extract_buildings(img, cloud, t, SnakeConfig(mode="proposed", max_iters=40), pipeline)
+    assert len(calls) >= 40
+    for args in calls:
+        assert np.array_equal(shape_force(*args), dense_shape_force(*args))
+
+
+@pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": -1.0}, {"step": 0.0}, {"step": -1.0}])
+def test_shape_force_rejects_nonpositive_delta_and_step(kwargs):
+    ref = circle(16)
+    args = {"delta": 50.0, **kwargs}
+    with pytest.raises(ValueError):
+        shape_force(ref + 1.0, ref, **args)
 
 
 # ---------------------------------------------------------------------------
