@@ -12,6 +12,10 @@ __all__ = ["GvfField", "image_energy", "image_energy_terms", "compute_gvf", "gvf
 # Regularizer for the termination-term denominator on flat regions.
 TERM_EPS = 1e-6
 
+# Pixels per field in one row strip of the GVF solve, so that the strip's
+# fields and buffers stay in L2 cache. Of 4k to 64k, 16k measured fastest.
+STRIP_ELEMS = 16384
+
 
 @dataclass
 class GvfField:
@@ -90,27 +94,70 @@ def compute_gvf(
     """Diffuse the edge force of f = -e_img into a gradient vector flow field.
 
     Explicit time stepping of u_t = mu lap(u) - (u - f_x)(f_x^2 + f_y^2)
-    (and the v analogue), stopping after `iters` steps or when the residual
-    falls below residual_factor * max|grad f|. The step size obeys the full
-    stability bound dt < 2/(8 mu + max g): the diffusion-only CFL value
-    0.25/mu sits exactly on the boundary and lets the reaction term amplify
-    checkerboard noise on strong-gradient inputs.
+    (and the v analogue), stopping after `iters` steps or when the max-abs
+    residual over all pixels falls below residual_factor * max|grad f|. The
+    step size obeys the full stability bound dt < 2/(8 mu + max g): the
+    diffusion-only CFL value 0.25/mu sits exactly on the boundary and lets
+    the reaction term amplify checkerboard noise on strong-gradient inputs.
+
+    The `iters` cap of 200 is the operating point: on the benchmark scenes the
+    residual ends near 1.1e-4 against a tolerance of 1.8e-5, so the stop test
+    does not fire. Each Jacobi step updates u and v in place, one cache-sized
+    strip of rows at a time, from the kept old value of the row above the
+    strip; every pixel gets the same floating-point operations in the same
+    order as in a whole-image step, so the field is the same bit for bit.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     f = -np.asarray(e_img, dtype=float)
+    if not np.isfinite(f).all():
+        raise ValueError("e_img must be finite")
     fx, fy = gradient(f)
     g = fx * fx + fy * fy
-    u = fx.copy()
-    v = fy.copy()
-    dt = 1.9 / (8.0 * mu + float(g.max()))
-    tol = residual_factor * float(np.sqrt(g.max()))
+    f_xy = np.stack((fx, fy))  # (2, H, W): the edge force, f_x then f_y
+    del f, fx, fy
+    w_uv = f_xy.copy()  # (2, H, W): u then v, updated in place
+    g_max = float(g.max())
+    if not np.isfinite(g_max):
+        raise ValueError("the gradient of e_img overflows")
+    dt = 1.9 / (8.0 * mu + g_max)
+    tol = residual_factor * float(np.sqrt(g_max))
+
+    h, w = g.shape
+    rows = max(1, STRIP_ELEMS // w)
+    lap = np.empty((2, rows, w))
+    tmp = np.empty((2, rows, w))
+    prev = np.empty((2, w))  # old value of the row above the current strip
     done = 0
     for done in range(1, iters + 1):
-        ru = mu * _laplacian(u) - (u - fx) * g
-        rv = mu * _laplacian(v) - (v - fy) * g
-        u += dt * ru
-        v += dt * rv
-        if max(np.abs(ru).max(), np.abs(rv).max()) < tol:
+        r_max = 0.0
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            n = r1 - r0
+            s = w_uv[:, r0:r1]
+            a = lap[:, :n]
+            b = tmp[:, :n]
+            # up + down, edge-replicated at the top and bottom rows
+            a[:, 0] = prev if r0 > 0 else s[:, 0]
+            a[:, 1:] = s[:, :-1]
+            a[:, :-1] += s[:, 1:]
+            a[:, -1] += w_uv[:, min(r1, h - 1)]
+            # + left, + right, edge-replicated at the first and last columns
+            a[:, :, 1:] += s[:, :, :-1]
+            a[:, :, 0] += s[:, :, 0]
+            a[:, :, :-1] += s[:, :, 1:]
+            a[:, :, -1] += s[:, :, -1]
+            np.multiply(s, 4.0, out=b)
+            a -= b
+            # r = mu lap - (w - f) g
+            a *= mu
+            np.subtract(s, f_xy[:, r0:r1], out=b)
+            b *= g[r0:r1]
+            a -= b
+            r_max = max(r_max, float(a.max()), -float(a.min()))
+            prev[...] = s[:, -1]
+            a *= dt
+            s += a
+        if r_max < tol:
             break
-    return GvfField(u=u, v=v, mu=mu, iters=done)
+    return GvfField(u=w_uv[0], v=w_uv[1], mu=mu, iters=done)

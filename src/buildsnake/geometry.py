@@ -22,7 +22,6 @@ __all__ = [
     "points_in_polygon",
     "rasterize_polygon",
     "dominant_angle",
-    "douglas_peucker",
     "rotate_points",
     "polygon_perimeter",
     "polygon_to_wkt",
@@ -324,39 +323,6 @@ def dominant_angle(polygon) -> float:
     ang = np.degrees(np.arctan2(edges[k, 1], edges[k, 0])) % 180.0
     # Guard against -0.0 % 180.0 -> 180.0-epsilon style artifacts.
     return float(ang % 180.0)
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def douglas_peucker(line, tol: float) -> np.ndarray:
-    """Ramer-Douglas-Peucker simplification of an open polyline."""
-    pts = _as_points(line)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    keep = np.zeros(len(pts), dtype=bool)
-    keep[0] = keep[-1] = True
-    stack = [(0, len(pts) - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 2:
-            continue
-        d = np.array([_point_segment_distance(pts[m], pts[lo], pts[hi]) for m in range(lo + 1, hi)])
-        m = int(np.argmax(d))
-        if d[m] > tol:
-            mid = lo + 1 + m
-            keep[mid] = True
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return pts[keep]
 
 
 def polygon_to_wkt(polygon) -> str:

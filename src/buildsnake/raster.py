@@ -15,7 +15,6 @@ __all__ = [
     "BinaryGrid",
     "load_pnm",
     "save_pgm",
-    "save_ppm",
     "rgb_to_gray",
     "gaussian_smooth",
     "gradient",
@@ -151,15 +150,6 @@ def save_pgm(img: np.ndarray) -> bytes:
     q = _quantize(img)
     h, w = q.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii") + q.tobytes()
-
-
-def save_ppm(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> bytes:
-    """Encode three gray channels as binary PPM (P6, maxval 255)."""
-    if not (r.shape == g.shape == b.shape):
-        raise ValueError("channel dimensions differ")
-    q = np.stack([_quantize(r), _quantize(g), _quantize(b)], axis=-1)
-    h, w, _ = q.shape
-    return f"P6\n{w} {h}\n255\n".encode("ascii") + q.tobytes()
 
 
 def rgb_to_gray(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -113,35 +113,39 @@ def evolve_step(
     return inv_system @ (cfg.gamma * pts + force)
 
 
-def _bilinear(field: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    h, w = field.shape
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xc).astype(int), 0, w - 2) if w > 1 else np.zeros_like(xc, int)
-    y0 = np.clip(np.floor(yc).astype(int), 0, h - 2) if h > 1 else np.zeros_like(yc, int)
-    fx = xc - x0
-    fy = yc - y0
-    f00 = field[y0, x0]
-    f01 = field[y0, x0 + 1] if w > 1 else f00
-    f10 = field[y0 + 1, x0] if h > 1 else f00
-    f11 = field[y0 + 1, x0 + 1] if w > 1 and h > 1 else f00
-    return (
-        f00 * (1 - fx) * (1 - fy)
-        + f01 * fx * (1 - fy)
-        + f10 * (1 - fx) * fy
-        + f11 * fx * fy
-    )
-
-
 def sample_force(fields: ExternalFields, points: np.ndarray) -> np.ndarray:
-    """Bilinear force at each point; zero outside the image bounds."""
+    """Bilinear force at each point; zero outside the image bounds.
+
+    The corner indices and weights are shared by both force components, and
+    the corners are gathered from the flattened fields.
+    """
     pts = np.asarray(points, dtype=float)
     h, w = fields.force_x.shape
     x, y = pts[:, 0], pts[:, 1]
     inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    fx = _bilinear(fields.force_x, x, y) * inside
-    fy = _bilinear(fields.force_y, x, y) * inside
-    return np.column_stack([fx, fy])
+    xc = np.clip(x, 0.0, w - 1.0)
+    yc = np.clip(y, 0.0, h - 1.0)
+    x0 = np.clip(np.floor(xc).astype(int), 0, w - 2) if w > 1 else np.zeros_like(xc, int)
+    y0 = np.clip(np.floor(yc).astype(int), 0, h - 2) if h > 1 else np.zeros_like(yc, int)
+    tx = xc - x0
+    ty = yc - y0
+    sx = 1 - tx
+    sy = 1 - ty
+    # Flat offsets of the right, lower and diagonal corners. A field one pixel
+    # wide or high has no second column or row; those corners reuse i00.
+    dx = 1 if w > 1 else 0
+    dy = w if h > 1 else 0
+    dxy = dx + dy if dx and dy else 0
+    i00 = y0 * w + x0
+    i01 = i00 + dx
+    i10 = i00 + dy
+    i11 = i00 + dxy
+    out = np.empty((len(pts), 2))
+    for k, field in enumerate((fields.force_x, fields.force_y)):
+        flat = field.reshape(-1)
+        f = flat[i00] * sx * sy + flat[i01] * tx * sy + flat[i10] * sx * ty + flat[i11] * tx * ty
+        np.multiply(f, inside, out=out[:, k])
+    return out
 
 
 def shape_sim_energy(snake: np.ndarray, boundary: np.ndarray, delta: float) -> float:

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from buildsnake import raster
+from buildsnake import cli, raster
 from buildsnake.cli import main
-from buildsnake.geometry import wkt_to_polygon
-from buildsnake.synthetic import BuildingSpec, SceneSpec
+from buildsnake.geometry import polygon_to_wkt, wkt_to_polygon
+from buildsnake.polygonize import building_mbr
+from buildsnake.synthetic import BuildingSpec, SceneSpec, quebec_like_spec
 
 from conftest import pixel_iou
 
@@ -164,6 +165,44 @@ def test_extract_rerun_from_run_json_is_byte_identical(small_scene_dir, tmp_path
     assert rc == 0
     for name in ("footprints.wkt", "buildings.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_extract_degenerate_snake_falls_back_to_boundary_mbr(tmp_path, capsys, monkeypatch):
+    # Preset seed 11, proposed mode: building 6's snake collapses, so the
+    # run keeps going with that building's LiDAR boundary MBR.
+    (tmp_path / "spec.json").write_text(json.dumps(quebec_like_spec(seed=11).to_dict()), encoding="utf-8")
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--outdir", str(tmp_path)]) == 0
+    extract = cli.extract_buildings
+    extracted = []
+
+    def recording(*args, **kwargs):
+        results = extract(*args, **kwargs)
+        extracted.extend(results)
+        return results
+
+    monkeypatch.setattr(cli, "extract_buildings", recording)
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "extract",
+            "--image", str(tmp_path / "scene.pgm"),
+            "--cloud", str(tmp_path / "cloud.xyz"),
+            "--transform", str(tmp_path / "transform.txt"),
+            "--outdir", str(out),
+            "--mode", "proposed",
+            "--workers", "1",
+        ]
+    )
+    assert rc == 0
+    assert "building 6: snake degenerate" in capsys.readouterr().err
+    buildings = json.loads((out / "buildings.json").read_text())
+    k = [b["id"] for b in buildings].index(6)
+    assert buildings[k]["shape_level"] == "rectangle"
+    b6 = extracted[k]
+    assert b6.building_id == 6
+    mbr = building_mbr(b6.init_pixels).corners()
+    assert np.array_equal(b6.footprint, mbr)
+    assert (out / "footprints.wkt").read_text().splitlines()[k] == polygon_to_wkt(mbr)
 
 
 def test_extract_debug_and_svg_outputs(small_scene_dir, tmp_path):

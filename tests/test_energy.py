@@ -3,13 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from buildsnake.config import SnakeConfig
 from buildsnake.energy import (
+    STRIP_ELEMS,
+    _laplacian,
     compute_gvf,
     gvf_residual,
     image_energy,
     image_energy_terms,
 )
 from buildsnake.raster import gaussian_smooth, gradient
+from buildsnake.synthetic import generate_scene, quebec_like_spec
 
 
 def blurred_step(height=40.0, sigma=3.0, size=48):
@@ -124,3 +128,101 @@ def test_gvf_extends_capture_range():
 def test_gvf_rejects_bad_mu():
     with pytest.raises(ValueError):
         compute_gvf(np.zeros((8, 8)), mu=0.0, iters=10)
+
+
+# ---------------------------------------------------------------------------
+# GVF solve against its whole-image reference
+
+
+def reference_gvf(e_img, mu=0.2, iters=200, residual_factor=1e-4):
+    """Reference GVF solve: whole-image Jacobi steps through np.pad temporaries.
+
+    Returns (u, v, iters) of the same explicit scheme as compute_gvf.
+    """
+    f = -np.asarray(e_img, dtype=float)
+    fx, fy = gradient(f)
+    g = fx * fx + fy * fy
+    u = fx.copy()
+    v = fy.copy()
+    dt = 1.9 / (8.0 * mu + float(g.max()))
+    tol = residual_factor * float(np.sqrt(g.max()))
+    done = 0
+    for done in range(1, iters + 1):
+        ru = mu * _laplacian(u) - (u - fx) * g
+        rv = mu * _laplacian(v) - (v - fy) * g
+        u += dt * ru
+        v += dt * rv
+        if max(np.abs(ru).max(), np.abs(rv).max()) < tol:
+            break
+    return u, v, done
+
+
+def assert_gvf_matches_reference(e_img, **kwargs):
+    field = compute_gvf(e_img, **kwargs)
+    u, v, done = reference_gvf(e_img, **kwargs)
+    assert field.iters == done
+    assert field.u.tobytes() == u.tobytes()
+    assert field.v.tobytes() == v.tobytes()
+    return field
+
+
+# (H, W): the smallest fields, one strip per row (W > STRIP_ELEMS), H not a
+# multiple of the strip height, a single strip, and a tall narrow field.
+GVF_ORACLE_SHAPES = [
+    (3, 3),
+    (3, 41),
+    (41, 3),
+    (4, STRIP_ELEMS + 5),
+    (37, 1000),
+    (23, 29),
+    (1500, 16),
+]
+
+
+@pytest.mark.parametrize("shape", GVF_ORACLE_SHAPES)
+@pytest.mark.parametrize("iters", [1, 9])
+def test_gvf_equals_reference(shape, iters):
+    rng = np.random.default_rng(shape[0] * 7919 + shape[1])
+    e_img = rng.normal(0.0, 1.0, shape)
+    assert_gvf_matches_reference(e_img, mu=0.2, iters=iters)
+
+
+def test_gvf_equals_reference_at_early_stop():
+    # A large residual factor makes the stop test fire well before the cap.
+    e_img = blurred_step(size=40) + np.random.default_rng(4).normal(0.0, 0.5, (40, 40))
+    field = assert_gvf_matches_reference(e_img, mu=0.2, iters=400, residual_factor=0.05)
+    assert 1 < field.iters < 400
+
+
+def test_gvf_equals_reference_on_preset_energy():
+    # The bundled scene's energy at the operating point: all 200 iterations.
+    img = generate_scene(quebec_like_spec(seed=7))[0]
+    cfg = SnakeConfig()
+    e_img = image_energy(img, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
+    field = assert_gvf_matches_reference(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
+    assert field.iters == cfg.gvf_iters
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9)])
+def test_gvf_rejects_fields_too_small_for_gradients(shape):
+    with pytest.raises(ValueError):
+        compute_gvf(np.zeros(shape), iters=3)
+    with pytest.raises(ValueError):
+        reference_gvf(np.zeros(shape), iters=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (12, 30), (47, 47)])
+def test_gvf_rejects_non_finite_energy(bad, where):
+    e_img = blurred_step()
+    e_img[where] = bad
+    with pytest.raises(ValueError, match="finite"):
+        compute_gvf(e_img, iters=5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_gvf_rejects_overflowing_gradient():
+    # Finite energy whose squared gradient overflows: dt would be 0 and the
+    # residual NaN, which the stop test would read as converged.
+    with pytest.raises(ValueError, match="overflows"):
+        compute_gvf(blurred_step() * 1e300, iters=5)

@@ -9,7 +9,6 @@ from buildsnake.geometry import (
     GridSpec,
     convex_hull,
     dominant_angle,
-    douglas_peucker,
     hausdorff_distance,
     min_area_rect,
     polygon_area,
@@ -319,56 +318,6 @@ def test_dominant_angle_l_shape_vertical_longest():
 def test_dominant_angle_degenerate():
     with pytest.raises(ValueError):
         dominant_angle(np.zeros((3, 2)))
-
-
-# ---------------------------------------------------------------------------
-# douglas_peucker
-
-
-def test_dp_collinear_chain_reduces_to_endpoints():
-    line = np.column_stack([np.arange(10.0), np.zeros(10)])
-    out = douglas_peucker(line, 0.1)
-    assert len(out) == 2
-    assert (out[0] == line[0]).all() and (out[-1] == line[-1]).all()
-
-
-def test_dp_retains_spike():
-    line = np.array([[0, 0], [1, 0], [2, 5.0], [3, 0], [4, 0]])
-    out = douglas_peucker(line, 1.0)
-    assert [2.0, 5.0] in out.tolist()
-
-
-def test_dp_dropped_points_within_tolerance():
-    rng = np.random.default_rng(4)
-    base = np.array([[0, 0], [10, 0], [10, 6], [0, 6]], dtype=float)
-    chain = []
-    for i in range(4):
-        a, b = base[i], base[(i + 1) % 4]
-        for t in np.linspace(0, 1, 12, endpoint=False):
-            chain.append(a + t * (b - a) + rng.uniform(-0.3, 0.3, 2))
-    chain = np.asarray(chain)
-    out = douglas_peucker(chain, 1.0)
-
-    def dist_to_chain(p):
-        best = math.inf
-        for i in range(len(out) - 1):
-            a, b = out[i], out[i + 1]
-            ab = b - a
-            t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0, 1)
-            best = min(best, float(np.linalg.norm(p - (a + t * ab))))
-        return best
-
-    kept = {tuple(p) for p in out}
-    for p in chain:
-        if tuple(p) not in kept:
-            assert dist_to_chain(p) <= 1.0 + 1e-9
-
-
-def test_dp_tiny_tolerance_keeps_everything():
-    rng = np.random.default_rng(6)
-    line = rng.uniform(0, 10, (15, 2))
-    out = douglas_peucker(line, 1e-12)
-    assert np.array_equal(out, line)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ from buildsnake.cli import PIPELINE_DEFAULTS, extract_buildings
 from buildsnake.config import SnakeConfig
 from buildsnake.geometry import GridSpec, polygon_perimeter, rasterize_polygon
 from buildsnake.snake import (
+    ExternalFields,
     evolve_step,
     resample_closed,
     run_snake,
+    sample_force,
     shape_force,
     shape_sim_energy,
     system_matrix,
@@ -235,6 +237,111 @@ def test_shape_force_rejects_nonpositive_delta_and_step(kwargs):
     args = {"delta": 50.0, **kwargs}
     with pytest.raises(ValueError):
         shape_force(ref + 1.0, ref, **args)
+
+
+# ---------------------------------------------------------------------------
+# sample_force against its per-component reference
+
+
+def _reference_bilinear(field, x, y):
+    h, w = field.shape
+    xc = np.clip(x, 0.0, w - 1.0)
+    yc = np.clip(y, 0.0, h - 1.0)
+    x0 = np.clip(np.floor(xc).astype(int), 0, w - 2) if w > 1 else np.zeros_like(xc, int)
+    y0 = np.clip(np.floor(yc).astype(int), 0, h - 2) if h > 1 else np.zeros_like(yc, int)
+    fx = xc - x0
+    fy = yc - y0
+    f00 = field[y0, x0]
+    f01 = field[y0, x0 + 1] if w > 1 else f00
+    f10 = field[y0 + 1, x0] if h > 1 else f00
+    f11 = field[y0 + 1, x0 + 1] if w > 1 and h > 1 else f00
+    return (
+        f00 * (1 - fx) * (1 - fy)
+        + f01 * fx * (1 - fy)
+        + f10 * (1 - fx) * fy
+        + f11 * fx * fy
+    )
+
+
+def reference_sample_force(fields, points):
+    """Reference sampler: one 2-D bilinear lookup per force component."""
+    pts = np.asarray(points, dtype=float)
+    h, w = fields.force_x.shape
+    x, y = pts[:, 0], pts[:, 1]
+    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    fx = _reference_bilinear(fields.force_x, x, y) * inside
+    fy = _reference_bilinear(fields.force_y, x, y) * inside
+    return np.column_stack([fx, fy])
+
+
+def _sample_points(rng, h, w):
+    """Points inside, outside, on every edge and exactly on w - 1 and h - 1."""
+    inner = rng.uniform([0.0, 0.0], [w - 1.0, h - 1.0], (40, 2))
+    outer = rng.uniform([-3.0, -3.0], [w + 2.0, h + 2.0], (40, 2))
+    edges = np.array(
+        [
+            [0.0, 0.0],
+            [w - 1.0, 0.0],
+            [0.0, h - 1.0],
+            [w - 1.0, h - 1.0],
+            [w - 1.0, 0.5 * (h - 1)],
+            [0.5 * (w - 1), h - 1.0],
+            [-0.0, -0.0],
+            [-0.0, 0.0],
+            [0.0, -0.0],
+            [w - 1.0 + 1e-9, 0.0],
+            [0.0, h - 1.0 + 1e-9],
+            [-1e-12, 0.0],
+            [np.floor(0.5 * w), np.floor(0.5 * h)],
+        ]
+    )
+    return np.vstack([inner, outer, edges])
+
+
+@pytest.mark.parametrize("values", ["normal", "signed-zeros"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (37, 53)])
+def test_sample_force_equals_reference(shape, values):
+    h, w = shape
+    rng = np.random.default_rng(h * 101 + w)
+
+    def field():
+        if values == "normal":
+            return rng.normal(0.0, 1.0, shape)
+        # Zeros of both signs: at the points (-0.0, 0.0) and (0.0, -0.0) the
+        # sign of a zero result shows which corner a 1-pixel axis reuses.
+        f = rng.choice([-0.0, 0.0, -1.0, 1.0], shape)
+        f.flat[0] = -0.0
+        f.flat[1:2] = 1.0
+        return f
+
+    fields = ExternalFields(e_img=np.zeros(shape), force_x=field(), force_y=field())
+    pts = _sample_points(rng, h, w)
+    assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
+
+
+def test_sample_force_equals_reference_on_non_contiguous_fields():
+    rng = np.random.default_rng(8)
+    fx = rng.normal(0.0, 1.0, (30, 20)).T
+    fields = ExternalFields(e_img=np.zeros((20, 30)), force_x=fx, force_y=fx[::-1])
+    pts = _sample_points(rng, 20, 30)
+    assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
+
+
+def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypatch):
+    # Every sample of a short gvf-mode run on the bundled scene.
+    _, img, cloud, _, t = quebec_scene
+    calls = []
+
+    def recording(fields, points):
+        calls.append((fields, points.copy()))
+        return sample_force(fields, points)
+
+    monkeypatch.setattr(snake_module, "sample_force", recording)
+    pipeline = dict(PIPELINE_DEFAULTS, workers=1)
+    extract_buildings(img, cloud, t, SnakeConfig(mode="gvf", max_iters=20), pipeline)
+    assert len(calls) >= 20
+    for fields, pts in calls:
+        assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
 
 
 # ---------------------------------------------------------------------------
