@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,10 +36,7 @@ PIPELINE_DEFAULTS = {
     "connectivity": 8,
     "ground_class": 2,
     "density": None,  # points/m^2; None = estimate from cloud extent
-    "eval_cell_size": 1.0,
-    "workers": None,  # None = available parallelism
     "sym_diff_tol": 0.10,
-    "mbr_source": "lidar",  # or "snake" for the orientation baseline
 }
 
 
@@ -91,40 +88,29 @@ def extract_buildings(
         debug["fields"] = fields
     projected = [lidar.project_boundary(b, t) for b in boundaries]
 
-    def process(pb: lidar.ProjectedBoundary) -> ExtractedBuilding:
-        contour = run_snake(pb, gray, cfg, fields=fields)
-        mbr_pts = pb.pixels if pipeline["mbr_source"] == "lidar" else contour
-        mbr = building_mbr(mbr_pts)
-        try:
-            poly = fit_rectilinear(contour, mbr, sym_diff_tol=pipeline["sym_diff_tol"])
-            footprint, level, orientation = poly.polygon, poly.shape_level, poly.orientation_deg
-        except ValueError:
-            # Collapsed snake (degenerate sliver segment): fall back to the
-            # boundary MBR so one bad building does not abort the run.
-            print(
-                f"warning: building {pb.building_id}: snake degenerate, using boundary MBR",
-                file=sys.stderr,
-            )
-            footprint, level, orientation = mbr.corners(), "rectangle", mbr.angle_deg
-        return ExtractedBuilding(
-            building_id=pb.building_id,
-            init_pixels=pb.pixels,
-            snake=contour,
-            footprint=footprint,
-            shape_level=level,
-            orientation_deg=orientation,
-        )
-
-    workers = pipeline.get("workers")
+    results = []
     try:
-        if workers is not None and int(workers) == 1:
-            results = [process(pb) for pb in projected]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(process, projected))
+        for pb in projected:
+            contour = run_snake(pb, gray, cfg, fields=fields)
+            mbr = building_mbr(pb.pixels)
+            try:
+                poly = fit_rectilinear(contour, mbr, sym_diff_tol=pipeline["sym_diff_tol"])
+                footprint, level, orientation = poly.polygon, poly.shape_level, poly.orientation_deg
+            except ValueError:
+                # Collapsed snake (degenerate sliver segment): fall back to the
+                # boundary MBR so one bad building does not abort the run.
+                print(
+                    f"warning: building {pb.building_id}: snake degenerate, using boundary MBR",
+                    file=sys.stderr,
+                )
+                footprint, level, orientation = mbr.corners(), "rectangle", mbr.angle_deg
+            results.append(ExtractedBuilding(
+                building_id=pb.building_id, init_pixels=pb.pixels, snake=contour,
+                footprint=footprint, shape_level=level, orientation_deg=orientation,
+            ))
     except ValueError as exc:
         raise StageError(f"[snake] {exc}") from exc
-    return sorted(results, key=lambda r: r.building_id)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +157,19 @@ def _resolve_config(args) -> tuple[SnakeConfig, dict, dict]:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"[config] {exc}") from exc
     pipeline = {k: merged.get(k, v) for k, v in PIPELINE_DEFAULTS.items()}
+    _check_pipeline(pipeline)
     return cfg, pipeline, merged
+
+
+def _check_pipeline(pipeline: dict) -> None:
+    """Reject LiDAR-stage values up front, as config errors rather than stage failures."""
+    connectivity, radius, density = (pipeline[k] for k in ("connectivity", "opening_radius", "density"))
+    if connectivity not in (4, 8):
+        raise ConfigError(f"[config] connectivity must be 4 or 8, got {connectivity!r}")
+    if not (isinstance(radius, (int, float)) and 1 <= radius < math.inf and radius == int(radius)):
+        raise ConfigError(f"[config] opening_radius must be an integer >= 1, got {radius!r}")
+    if density is not None and not (isinstance(density, (int, float)) and 0 < density < math.inf):
+        raise ConfigError(f"[config] density must be a positive number, got {density!r}")
 
 
 def _write_svg(path: Path, size, results, truth=None):
@@ -370,7 +368,6 @@ def _add_extract_flags(p: argparse.ArgumentParser):
     p.add_argument("--outdir", help="output directory (default .)")
     p.add_argument("--config", help="JSON config; flags override its values")
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--workers", type=int)
     p.add_argument("--debug-dir", dest="debug_dir", help="dump stage rasters and raw snakes")
     p.add_argument("--svg", action="store_true", help="write overlay.svg")
     for key, typ in [
@@ -383,7 +380,6 @@ def _add_extract_flags(p: argparse.ArgumentParser):
         ("sym_diff_tol", float),
     ]:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ)
-    p.add_argument("--mbr-source", dest="mbr_source", choices=("lidar", "snake"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,7 +32,6 @@ __all__ = [
 class ExternalFields:
     """Precomputed per-image fields shared by every snake on that image."""
 
-    e_img: np.ndarray
     force_x: np.ndarray
     force_y: np.ndarray
     gvf: GvfField | None = None
@@ -61,10 +60,10 @@ def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ExternalFields:
     if cfg.mode == "basic":
         ex, ey = gradient(e_img)
         fx, fy = _rescale_force(-ex, -ey)
-        return ExternalFields(e_img=e_img, force_x=fx, force_y=fy)
+        return ExternalFields(force_x=fx, force_y=fy)
     field = compute_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
     fx, fy = _rescale_force(field.u, field.v)
-    return ExternalFields(e_img=e_img, force_x=fx, force_y=fy, gvf=field)
+    return ExternalFields(force_x=fx, force_y=fy, gvf=field)
 
 
 def resample_closed(points: np.ndarray, n: int) -> np.ndarray:

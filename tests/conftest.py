@@ -37,11 +37,9 @@ def quebec_scene():
 def mode_results(quebec_scene):
     """Pipeline outputs for each solver mode on the bundled scene."""
     _, img, cloud, truth, t = quebec_scene
-    pipeline = dict(PIPELINE_DEFAULTS)
-    pipeline["workers"] = 1
     out = {}
     for mode in ("proposed", "gvf", "basic"):
-        out[mode] = extract_buildings(img, cloud, t, SnakeConfig(mode=mode), pipeline)
+        out[mode] = extract_buildings(img, cloud, t, SnakeConfig(mode=mode), dict(PIPELINE_DEFAULTS))
     return out
 
 

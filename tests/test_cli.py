@@ -88,7 +88,6 @@ def test_extract_two_buildings_accurate(small_scene_dir, tmp_path):
             "--cloud", str(small_scene_dir / "cloud.xyz"),
             "--transform", str(small_scene_dir / "transform.txt"),
             "--outdir", str(out),
-            "--workers", "1",
         ]
     )
     assert rc == 0
@@ -156,15 +155,48 @@ def test_extract_rerun_from_run_json_is_byte_identical(small_scene_dir, tmp_path
             "--cloud", str(small_scene_dir / "cloud.xyz"),
             "--transform", str(small_scene_dir / "transform.txt"),
             "--outdir", str(first),
-            "--workers", "2",
         ]
     )
     assert rc == 0
     second = tmp_path / "second"
     rc = main(["extract", "--config", str(first / "run.json"), "--outdir", str(second)])
     assert rc == 0
+    # A run.json written before the fan-out and the unused keys were removed.
+    old_format = json.loads((first / "run.json").read_text())
+    old_format.update(workers=2, mbr_source="lidar", eval_cell_size=1.0)
+    (tmp_path / "old_run.json").write_text(json.dumps(old_format), encoding="utf-8")
+    third = tmp_path / "third"
+    rc = main(["extract", "--config", str(tmp_path / "old_run.json"), "--outdir", str(third)])
+    assert rc == 0
     for name in ("footprints.wkt", "buildings.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (first / name).read_bytes() == (third / name).read_bytes()
+    for out in (first, second, third):
+        assert not {"workers", "mbr_source", "eval_cell_size"} & set(json.loads((out / "run.json").read_text()))
+
+
+def test_extract_calls_stages_through_cli_globals(small_scene_dir, tmp_path, monkeypatch):
+    # The benchmark tracer patches these names on `cli`; extract must look
+    # them up there, not through its own references.
+    calls = {}
+    for name in ("prepare_fields", "run_snake", "building_mbr", "fit_rectilinear"):
+        def counting(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    rc = main(
+        [
+            "extract",
+            "--image", str(small_scene_dir / "scene.pgm"),
+            "--cloud", str(small_scene_dir / "cloud.xyz"),
+            "--transform", str(small_scene_dir / "transform.txt"),
+            "--outdir", str(tmp_path / "out"),
+            "--mode", "basic",
+        ]
+    )
+    assert rc == 0
+    assert calls == {"prepare_fields": 1, "run_snake": 2, "building_mbr": 2, "fit_rectilinear": 2}
 
 
 def test_extract_degenerate_snake_falls_back_to_boundary_mbr(tmp_path, capsys, monkeypatch):
@@ -190,7 +222,6 @@ def test_extract_degenerate_snake_falls_back_to_boundary_mbr(tmp_path, capsys, m
             "--transform", str(tmp_path / "transform.txt"),
             "--outdir", str(out),
             "--mode", "proposed",
-            "--workers", "1",
         ]
     )
     assert rc == 0
@@ -239,21 +270,28 @@ def test_extract_bad_config_value_exits_2(small_scene_dir, tmp_path):
     assert rc == 2
 
 
-def test_extract_snake_mbr_baseline_flag(small_scene_dir, tmp_path):
-    out = tmp_path / "out"
-    rc = main(
-        [
-            "extract",
-            "--image", str(small_scene_dir / "scene.pgm"),
-            "--cloud", str(small_scene_dir / "cloud.xyz"),
-            "--transform", str(small_scene_dir / "transform.txt"),
-            "--outdir", str(out),
-            "--mbr-source", "snake",
-            "--workers", "1",
-        ]
-    )
-    assert rc == 0
-    assert len(read_wkts(out / "footprints.wkt")) == 2
+@pytest.mark.parametrize(
+    "key, value",
+    [("connectivity", 5), ("opening_radius", 0), ("density", -1.0)],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_extract_invalid_pipeline_value_exits_2(small_scene_dir, tmp_path, capsys, key, value, source):
+    argv = [
+        "extract",
+        "--image", str(small_scene_dir / "scene.pgm"),
+        "--cloud", str(small_scene_dir / "cloud.xyz"),
+        "--transform", str(small_scene_dir / "transform.txt"),
+        "--outdir", str(tmp_path / "out"),
+    ]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "[config]" in err and key in err
+    assert not (tmp_path / "out" / "run.json").exists()
 
 
 def test_evaluate_degenerate_polygon_exits_1(small_scene_dir, tmp_path, capsys):

@@ -224,7 +224,7 @@ def test_shape_force_equals_dense_oracle_on_preset_contours(quebec_scene, monkey
         return shape_force(snake, boundary, delta, weight, step)
 
     monkeypatch.setattr(snake_module, "shape_force", recording)
-    pipeline = dict(PIPELINE_DEFAULTS, workers=1)
+    pipeline = dict(PIPELINE_DEFAULTS)
     extract_buildings(img, cloud, t, SnakeConfig(mode="proposed", max_iters=40), pipeline)
     assert len(calls) >= 40
     for args in calls:
@@ -314,7 +314,7 @@ def test_sample_force_equals_reference(shape, values):
         f.flat[1:2] = 1.0
         return f
 
-    fields = ExternalFields(e_img=np.zeros(shape), force_x=field(), force_y=field())
+    fields = ExternalFields(force_x=field(), force_y=field())
     pts = _sample_points(rng, h, w)
     assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
 
@@ -322,7 +322,7 @@ def test_sample_force_equals_reference(shape, values):
 def test_sample_force_equals_reference_on_non_contiguous_fields():
     rng = np.random.default_rng(8)
     fx = rng.normal(0.0, 1.0, (30, 20)).T
-    fields = ExternalFields(e_img=np.zeros((20, 30)), force_x=fx, force_y=fx[::-1])
+    fields = ExternalFields(force_x=fx, force_y=fx[::-1])
     pts = _sample_points(rng, 20, 30)
     assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
 
@@ -337,7 +337,7 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
         return sample_force(fields, points)
 
     monkeypatch.setattr(snake_module, "sample_force", recording)
-    pipeline = dict(PIPELINE_DEFAULTS, workers=1)
+    pipeline = dict(PIPELINE_DEFAULTS)
     extract_buildings(img, cloud, t, SnakeConfig(mode="gvf", max_iters=20), pipeline)
     assert len(calls) >= 20
     for fields, pts in calls:
