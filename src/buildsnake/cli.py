@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,14 +30,9 @@ class StageError(Exception):
     """A pipeline stage failed on valid-looking inputs."""
 
 
-PIPELINE_DEFAULTS = {
-    "opening_radius": 1,
-    "min_segment_area_m2": 10.0,
-    "connectivity": 8,
-    "ground_class": 2,
-    "density": None,  # points/m^2; None = estimate from cloud extent
-    "sym_diff_tol": 0.10,
-}
+IO_KEYS = ("image", "cloud", "transform", "outdir", "truth")
+# Keys an older config or run.json may hold; they are accepted and ignored.
+RETIRED_KEYS = ("workers", "mbr_source", "eval_cell_size")
 
 
 @dataclass
@@ -55,11 +50,10 @@ def extract_buildings(
     cloud: lidar.PointCloud3D,
     t: AffineTransform2D,
     cfg: SnakeConfig,
-    pipeline: dict,
     debug: dict | None = None,
 ) -> list[ExtractedBuilding]:
     """Run the full LiDAR -> snake -> polygonize pipeline on one scene."""
-    density = pipeline.get("density")
+    density = cfg.density
     if density is None:
         xy = cloud.xyz[:, :2]
         extent = np.prod(xy.max(axis=0) - xy.min(axis=0))
@@ -70,10 +64,10 @@ def extract_buildings(
         boundaries, grid, labels = lidar.extract_boundaries(
             cloud,
             density=density,
-            ground_class=pipeline["ground_class"],
-            opening_radius=pipeline["opening_radius"],
-            min_area_m2=pipeline["min_segment_area_m2"],
-            connectivity=pipeline["connectivity"],
+            ground_class=cfg.ground_class,
+            opening_radius=cfg.opening_radius,
+            min_area_m2=cfg.min_segment_area_m2,
+            connectivity=cfg.connectivity,
         )
     except ValueError as exc:
         raise StageError(f"[lidar] {exc}") from exc
@@ -94,7 +88,7 @@ def extract_buildings(
             contour = run_snake(pb, gray, cfg, fields=fields)
             mbr = building_mbr(pb.pixels)
             try:
-                poly = fit_rectilinear(contour, mbr, sym_diff_tol=pipeline["sym_diff_tol"])
+                poly = fit_rectilinear(contour, mbr, sym_diff_tol=cfg.sym_diff_tol)
                 footprint, level, orientation = poly.polygon, poly.shape_level, poly.orientation_deg
             except ValueError:
                 # Collapsed snake (degenerate sliver segment): fall back to the
@@ -117,59 +111,53 @@ def extract_buildings(
 # Subcommand helpers
 
 
-def _read_file(path: str, stage: str) -> bytes:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"[{stage}] file not found: {path}")
-    return p.read_bytes()
+def _parse_file(path: str, stage: str, parse):
+    """Return `parse(Path(path))`; a read or parse failure is a `[stage]` config error."""
+    try:
+        return parse(Path(path))
+    except OSError as exc:
+        raise ConfigError(f"[{stage}] cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"[{stage}] {path}: {exc}") from exc
 
 
-def _load_gray(path: str) -> np.ndarray:
-    img = raster.load_pnm(_read_file(path, "image"))
-    if isinstance(img, tuple):
-        return raster.rgb_to_gray(*img)
-    return img
+def _text(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+def _gray(path: Path) -> np.ndarray:
+    img = raster.load_pnm(path.read_bytes())
+    return raster.rgb_to_gray(*img) if isinstance(img, tuple) else img
+
+
+def _wkts(path: Path) -> list[np.ndarray]:
+    return [wkt_to_polygon(line) for line in _text(path).splitlines() if line.strip()]
 
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _resolve_config(args) -> tuple[SnakeConfig, dict, dict]:
+def _resolve_config(args) -> tuple[SnakeConfig, dict]:
     """Merge config file values with CLI flag overrides."""
-    base: dict = {}
-    if getattr(args, "config", None):
-        try:
-            base = json.loads(_read_file(args.config, "config").decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"[config] invalid JSON in {args.config}: {exc}") from exc
-    merged = dict(base)
-    for key in list(SnakeConfig.field_names()) + list(PIPELINE_DEFAULTS):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    for key in ("image", "cloud", "transform", "outdir", "truth"):
-        val = getattr(args, key, None)
+    merged: dict = {}
+    if args.config:
+        merged = _parse_file(args.config, "config", lambda p: json.loads(_text(p)))
+        if not isinstance(merged, dict):
+            raise ConfigError(f"[config] {args.config} must hold a JSON object")
+        known = set(SnakeConfig.field_names()) | set(IO_KEYS) | set(RETIRED_KEYS)
+        for key in merged:
+            if key not in known:
+                raise ConfigError(f"[config] unknown key {key!r} in {args.config}")
+    for key in SnakeConfig.field_names() + IO_KEYS:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
     try:
         cfg = SnakeConfig.from_dict(merged)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"[config] {exc}") from exc
-    pipeline = {k: merged.get(k, v) for k, v in PIPELINE_DEFAULTS.items()}
-    _check_pipeline(pipeline)
-    return cfg, pipeline, merged
-
-
-def _check_pipeline(pipeline: dict) -> None:
-    """Reject LiDAR-stage values up front, as config errors rather than stage failures."""
-    connectivity, radius, density = (pipeline[k] for k in ("connectivity", "opening_radius", "density"))
-    if connectivity not in (4, 8):
-        raise ConfigError(f"[config] connectivity must be 4 or 8, got {connectivity!r}")
-    if not (isinstance(radius, (int, float)) and 1 <= radius < math.inf and radius == int(radius)):
-        raise ConfigError(f"[config] opening_radius must be an integer >= 1, got {radius!r}")
-    if density is not None and not (isinstance(density, (int, float)) and 0 < density < math.inf):
-        raise ConfigError(f"[config] density must be a positive number, got {density!r}")
+    return cfg, merged
 
 
 def _write_svg(path: Path, size, results, truth=None):
@@ -194,32 +182,26 @@ def _write_svg(path: Path, size, results, truth=None):
 
 
 def cmd_extract(args) -> int:
-    cfg, pipeline, merged = _resolve_config(args)
+    cfg, merged = _resolve_config(args)
     for key in ("image", "cloud", "transform"):
         if key not in merged:
             raise ConfigError(f"[config] missing required input: --{key}")
     outdir = Path(merged.get("outdir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    gray = _load_gray(merged["image"])
-    try:
-        cloud = lidar.parse_xyz(_read_file(merged["cloud"], "cloud").decode("utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"[cloud] {exc}") from exc
-    try:
-        t = AffineTransform2D.from_line(_read_file(merged["transform"], "transform").decode("utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"[transform] {exc}") from exc
+    gray = _parse_file(merged["image"], "image", _gray)
+    cloud = _parse_file(merged["cloud"], "cloud", lambda p: lidar.parse_xyz(_text(p)))
+    t = _parse_file(merged["transform"], "transform", lambda p: AffineTransform2D.from_line(_text(p)))
+    truth_polys = _parse_file(merged["truth"], "truth", _wkts) if merged.get("truth") else None
 
-    debug: dict | None = {} if getattr(args, "debug_dir", None) else None
-    results = extract_buildings(gray, cloud, t, cfg, pipeline, debug=debug)
+    debug: dict | None = {} if args.debug_dir else None
+    results = extract_buildings(gray, cloud, t, cfg, debug=debug)
     if not results:
         print("warning: no building segments extracted from the cloud", file=sys.stderr)
 
-    run_config = {k: merged.get(k, None) for k in ("image", "cloud", "transform", "truth")}
+    run_config = {k: merged.get(k) for k in ("image", "cloud", "transform", "truth")}
     run_config["outdir"] = str(outdir)
     run_config.update(cfg.to_dict())
-    run_config.update(pipeline)
     (outdir / "run.json").write_text(_json_dump(run_config), encoding="utf-8")
 
     wkt_lines = [polygon_to_wkt(r.footprint) for r in results]
@@ -234,14 +216,7 @@ def cmd_extract(args) -> int:
     ]
     (outdir / "buildings.json").write_text(_json_dump(buildings), encoding="utf-8")
 
-    truth_polys = None
-    if merged.get("truth"):
-        truth_polys = [
-            wkt_to_polygon(line)
-            for line in _read_file(merged["truth"], "truth").decode("utf-8").splitlines()
-            if line.strip()
-        ]
-    if getattr(args, "svg", False):
+    if args.svg:
         _write_svg(outdir / "overlay.svg", (gray.shape[1], gray.shape[0]), results, truth_polys)
 
     if debug is not None:
@@ -265,15 +240,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    def read_wkts(path: str, stage: str):
-        return [
-            wkt_to_polygon(line)
-            for line in _read_file(path, stage).decode("utf-8").splitlines()
-            if line.strip()
-        ]
-
-    extracted = read_wkts(args.extracted, "extracted")
-    truth = read_wkts(args.truth, "truth")
+    extracted = _parse_file(args.extracted, "extracted", _wkts)
+    truth = _parse_file(args.truth, "truth", _wkts)
     if args.pairing == "index":
         n = min(len(extracted), len(truth))
         matches = [(i, i) for i in range(n)]
@@ -317,8 +285,8 @@ def cmd_synth(args) -> int:
         spec = synthetic.PRESETS[args.preset]()
     else:
         try:
-            spec = synthetic.SceneSpec.from_json(_read_file(args.spec, "spec").decode("utf-8"))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            spec = _parse_file(args.spec, "spec", lambda p: synthetic.SceneSpec.from_json(_text(p)))
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"[spec] invalid scene spec: {exc}") from exc
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -333,21 +301,21 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit_transform(args) -> int:
+def _fit_pairs(path: Path) -> AffineTransform2D:
     pairs = []
-    for lineno, line in enumerate(_read_file(args.pairs, "pairs").decode("utf-8").splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+    for lineno, line in enumerate(_text(path).splitlines(), 1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = body.split()
         if len(parts) != 4:
-            raise ConfigError(f"[pairs] line {lineno}: expected 'sx sy tx ty'")
+            raise ValueError(f"line {lineno}: expected 'sx sy tx ty'")
         sx, sy, tx, ty = (float(p) for p in parts)
         pairs.append(((sx, sy), (tx, ty)))
-    try:
-        t = fit_least_squares(pairs)
-    except ValueError as exc:
-        raise ConfigError(f"[pairs] {exc}") from exc
+    return fit_least_squares(pairs)
+
+
+def cmd_fit_transform(args) -> int:
+    t = _parse_file(args.pairs, "pairs", _fit_pairs)
     line = t.to_line() + "\n"
     if args.out:
         Path(args.out).write_text(line, encoding="utf-8")
@@ -367,19 +335,15 @@ def _add_extract_flags(p: argparse.ArgumentParser):
     p.add_argument("--truth", help="optional truth WKT for the SVG overlay")
     p.add_argument("--outdir", help="output directory (default .)")
     p.add_argument("--config", help="JSON config; flags override its values")
-    p.add_argument("--mode", choices=MODES)
     p.add_argument("--debug-dir", dest="debug_dir", help="dump stage rasters and raw snakes")
     p.add_argument("--svg", action="store_true", help="write overlay.svg")
-    for key, typ in [
-        ("alpha", float), ("beta", float), ("gamma", float), ("max_iters", int),
-        ("epsilon", float), ("resample_every", int), ("w_line", float),
-        ("w_edge", float), ("w_term", float), ("sigma", float), ("mu", float),
-        ("gvf_iters", int), ("delta", float), ("shape_weight", float),
-        ("opening_radius", int), ("min_segment_area_m2", float),
-        ("connectivity", int), ("ground_class", int), ("density", float),
-        ("sym_diff_tol", float),
-    ]:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ)
+    for f in dataclasses.fields(SnakeConfig):
+        p.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            dest=f.name,
+            type=float if f.default is None else type(f.default),
+            choices=MODES if f.name == "mode" else None,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

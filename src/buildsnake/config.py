@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
+import numbers
 from dataclasses import dataclass
 
 MODES = ("basic", "gvf", "proposed")
@@ -10,7 +11,7 @@ MODES = ("basic", "gvf", "proposed")
 
 @dataclass
 class SnakeConfig:
-    """Contour-evolution parameters with empirically tuned defaults."""
+    """Every `extract` parameter, with empirically tuned defaults."""
 
     alpha: float = 0.01       # tension weight
     beta: float = 0.01        # rigidity weight
@@ -27,11 +28,24 @@ class SnakeConfig:
     delta: float = 50.0       # px^2, shape-similarity scale
     shape_weight: float = 1.0
     mode: str = "proposed"
+    opening_radius: int = 1
+    min_segment_area_m2: float = 10.0
+    connectivity: int = 8
+    ground_class: int = 2
+    density: float | None = None  # points/m^2; None = estimate from cloud extent
+    sym_diff_tol: float = 0.10
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, int):
+                value = getattr(self, f.name)
+                integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+                if isinstance(value, bool) or not integral:
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                setattr(self, f.name, int(value))
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.gamma <= 0:
@@ -48,6 +62,13 @@ class SnakeConfig:
             raise ValueError("iteration counts must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.connectivity not in (4, 8):
+            raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity!r}")
+        if self.opening_radius < 1:
+            raise ValueError(f"opening_radius must be an integer >= 1, got {self.opening_radius!r}")
+        density = self.density
+        if density is not None and not (isinstance(density, (int, float)) and 0 < density < math.inf):
+            raise ValueError(f"density must be a positive number, got {density!r}")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -60,7 +81,3 @@ class SnakeConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SnakeConfig":
-        return cls.from_dict(json.loads(text))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from buildsnake.cli import PIPELINE_DEFAULTS, extract_buildings
+from buildsnake.cli import extract_buildings
 from buildsnake.config import SnakeConfig
 from buildsnake.geometry import GridSpec, rasterize_polygon
 from buildsnake.synthetic import generate_scene, quebec_like_spec
@@ -39,7 +39,7 @@ def mode_results(quebec_scene):
     _, img, cloud, truth, t = quebec_scene
     out = {}
     for mode in ("proposed", "gvf", "basic"):
-        out[mode] = extract_buildings(img, cloud, t, SnakeConfig(mode=mode), dict(PIPELINE_DEFAULTS))
+        out[mode] = extract_buildings(img, cloud, t, SnakeConfig(mode=mode))
     return out
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from buildsnake.cli import PIPELINE_DEFAULTS, extract_buildings, main
+from buildsnake.cli import extract_buildings, main
 from buildsnake.config import SnakeConfig
 from buildsnake.energy import compute_gvf, gvf_residual, image_energy
 from buildsnake.geometry import (
@@ -60,7 +60,7 @@ def mode_ious(results, truth):
 def test_criterion_1_pipeline_accuracy(quebec_scene, report):
     _, img, cloud, truth, t = quebec_scene
     start = time.perf_counter()
-    results = extract_buildings(img, cloud, t, SnakeConfig(mode="proposed"), dict(PIPELINE_DEFAULTS))
+    results = extract_buildings(img, cloud, t, SnakeConfig(mode="proposed"))
     elapsed = time.perf_counter() - start
     ious = mode_ious(results, truth)
     ok = (

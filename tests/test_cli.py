@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from buildsnake import cli, raster
 from buildsnake.cli import main
+from buildsnake.config import SnakeConfig
 from buildsnake.geometry import polygon_to_wkt, wkt_to_polygon
 from buildsnake.polygonize import building_mbr
 from buildsnake.synthetic import BuildingSpec, SceneSpec, quebec_like_spec
@@ -271,11 +273,16 @@ def test_extract_bad_config_value_exits_2(small_scene_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("connectivity", 5), ("opening_radius", 0), ("density", -1.0)],
+    "source, key, value",
+    [
+        (source, key, value)
+        for source in ("flag", "config")
+        for key, value in [("connectivity", 5), ("opening_radius", 0), ("density", -1.0)]
+    ]
+    # argparse itself rejects a non-integer integer flag, so these come from JSON only.
+    + [("config", "max_iters", 2.5), ("config", "ground_class", 2.5)],
 )
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_extract_invalid_pipeline_value_exits_2(small_scene_dir, tmp_path, capsys, key, value, source):
+def test_extract_invalid_pipeline_value_exits_2(small_scene_dir, tmp_path, capsys, source, key, value):
     argv = [
         "extract",
         "--image", str(small_scene_dir / "scene.pgm"),
@@ -292,6 +299,74 @@ def test_extract_invalid_pipeline_value_exits_2(small_scene_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert "[config]" in err and key in err
     assert not (tmp_path / "out" / "run.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [({"conectivity": 4}, "unknown key 'conectivity' in {cfg}"), ([4], "{cfg} must hold a JSON object")],
+)
+def test_extract_unknown_config_key_exits_2(small_scene_dir, tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(
+        [
+            "extract",
+            "--image", str(small_scene_dir / "scene.pgm"),
+            "--cloud", str(small_scene_dir / "cloud.xyz"),
+            "--transform", str(small_scene_dir / "transform.txt"),
+            "--outdir", str(tmp_path / "out"),
+            "--config", str(cfg),
+        ]
+    )
+    assert rc == 2
+    assert "[config] " + message.format(cfg=cfg) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
+# A value of the field's default type that differs from the default and passes validation.
+NON_DEFAULT = {"mode": "basic", "connectivity": 4, "density": 2.5}
+
+
+def test_extract_flags_match_config_fields_one_to_one():
+    fields = dataclasses.fields(SnakeConfig)
+    dests = set(vars(cli.build_parser().parse_args(["extract"])))
+    other = {"command", "func", "config", "debug_dir", "svg", *cli.IO_KEYS}
+    assert dests - other == {f.name for f in fields}
+    assert len(fields) == 21
+    for f in fields:
+        value = NON_DEFAULT[f.name] if f.name in NON_DEFAULT else f.default + 1
+        assert value != f.default and type(value) is (float if f.default is None else type(f.default))
+        args = cli.build_parser().parse_args(["extract", f"--{f.name.replace('_', '-')}", str(value)])
+        cfg, _ = cli._resolve_config(args)
+        assert getattr(cfg, f.name) == value
+        assert type(getattr(cfg, f.name)) is type(value)
+        assert cfg == dataclasses.replace(SnakeConfig(), **{f.name: value})
+
+
+TRUNCATED_PGM = b"P5\n4 4\n255\n" + bytes(5)
+BAD_WKT = b"POLYGON((0 0, 1 x, 1 1, 0 0))\n"
+
+
+@pytest.mark.parametrize(
+    "stage, content, argv",
+    [
+        ("image", TRUNCATED_PGM, ["extract", "--image", "{bad}", "--cloud", "{scene}/cloud.xyz",
+                                  "--transform", "{scene}/transform.txt", "--outdir", "{out}"]),
+        ("truth", BAD_WKT, ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{scene}/cloud.xyz",
+                            "--transform", "{scene}/transform.txt", "--outdir", "{out}", "--truth", "{bad}"]),
+        ("extracted", BAD_WKT, ["evaluate", "--extracted", "{bad}", "--truth", "{scene}/truth.wkt"]),
+        ("truth", BAD_WKT, ["evaluate", "--extracted", "{scene}/truth.wkt", "--truth", "{bad}"]),
+        ("pairs", b"0 0 0 0\n1 0 one 0\n", ["fit-transform", "--pairs", "{bad}"]),
+    ],
+)
+def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, capsys, stage, content, argv):
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [a.format(bad=bad, scene=small_scene_dir, out=out) for a in argv]
+    assert main(argv) == 2
+    assert f"error: [{stage}] {bad}: " in capsys.readouterr().err
+    assert not (out / "run.json").exists()
 
 
 def test_evaluate_degenerate_polygon_exits_1(small_scene_dir, tmp_path, capsys):

@@ -1,0 +1,34 @@
+from __future__ import annotations
+
+import pytest
+
+from buildsnake.config import SnakeConfig
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("connectivity", 5, "connectivity must be 4 or 8, got 5"),
+        ("opening_radius", 0, "opening_radius must be an integer >= 1, got 0"),
+        ("density", -1.0, "density must be a positive number, got -1.0"),
+        ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+        ("ground_class", 2.5, "ground_class must be an integer, got 2.5"),
+        ("opening_radius", 1.5, "opening_radius must be an integer, got 1.5"),
+        ("gvf_iters", float("inf"), "gvf_iters must be an integer, got inf"),
+        ("resample_every", True, "resample_every must be an integer, got True"),
+        ("connectivity", "8", "connectivity must be an integer, got '8'"),
+    ],
+)
+def test_invalid_value_raises(key, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SnakeConfig(**{key: value})
+
+
+def test_integral_float_is_stored_as_int():
+    cfg = SnakeConfig.from_dict({"max_iters": 40.0, "connectivity": 4.0, "ground_class": 6.0})
+    assert (cfg.max_iters, cfg.connectivity, cfg.ground_class) == (40, 4, 6)
+    assert all(type(v) is int for v in (cfg.max_iters, cfg.connectivity, cfg.ground_class))
+
+
+def test_from_dict_ignores_unknown_keys():
+    assert SnakeConfig.from_dict({"workers": 2, "conectivity": 4}) == SnakeConfig()

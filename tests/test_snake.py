@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from buildsnake import snake as snake_module
-from buildsnake.cli import PIPELINE_DEFAULTS, extract_buildings
+from buildsnake.cli import extract_buildings
 from buildsnake.config import SnakeConfig
 from buildsnake.geometry import GridSpec, polygon_perimeter, rasterize_polygon
 from buildsnake.snake import (
@@ -224,8 +224,7 @@ def test_shape_force_equals_dense_oracle_on_preset_contours(quebec_scene, monkey
         return shape_force(snake, boundary, delta, weight, step)
 
     monkeypatch.setattr(snake_module, "shape_force", recording)
-    pipeline = dict(PIPELINE_DEFAULTS)
-    extract_buildings(img, cloud, t, SnakeConfig(mode="proposed", max_iters=40), pipeline)
+    extract_buildings(img, cloud, t, SnakeConfig(mode="proposed", max_iters=40))
     assert len(calls) >= 40
     for args in calls:
         assert np.array_equal(shape_force(*args), dense_shape_force(*args))
@@ -337,8 +336,7 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
         return sample_force(fields, points)
 
     monkeypatch.setattr(snake_module, "sample_force", recording)
-    pipeline = dict(PIPELINE_DEFAULTS)
-    extract_buildings(img, cloud, t, SnakeConfig(mode="gvf", max_iters=20), pipeline)
+    extract_buildings(img, cloud, t, SnakeConfig(mode="gvf", max_iters=20))
     assert len(calls) >= 20
     for fields, pts in calls:
         assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
