@@ -246,19 +246,7 @@ def cmd_evaluate(args) -> int:
         n = min(len(extracted), len(truth))
         matches = [(i, i) for i in range(n)]
     else:
-        # Greedy one-to-one pairing on centroid distance.
-        ce = [np.asarray(p).mean(axis=0) for p in extracted]
-        ct = [np.asarray(p).mean(axis=0) for p in truth]
-        dist = np.array([[np.linalg.norm(a - b) for b in ct] for a in ce]).reshape(
-            len(extracted), len(truth)
-        )
-        matches = []
-        while dist.size and np.isfinite(dist).any():
-            i, j = np.unravel_index(np.argmin(dist), dist.shape)
-            matches.append((int(i), int(j)))
-            dist[i, :] = np.inf
-            dist[:, j] = np.inf
-        matches.sort()
+        matches = metrics.pair_by_centroid(extracted, truth)
     pairs = [(i, extracted[i], truth[j]) for i, j in matches]
     try:
         report = metrics.evaluate_pairs(

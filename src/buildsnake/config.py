@@ -40,12 +40,14 @@ class SnakeConfig:
 
     def validate(self):
         for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             if isinstance(f.default, int):
-                value = getattr(self, f.name)
                 integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
                 if isinstance(value, bool) or not integral:
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
                 setattr(self, f.name, int(value))
+            elif isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{f.name} must be a number, got nan")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.gamma <= 0:
@@ -66,6 +68,9 @@ class SnakeConfig:
             raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity!r}")
         if self.opening_radius < 1:
             raise ValueError(f"opening_radius must be an integer >= 1, got {self.opening_radius!r}")
+        for name in ("sym_diff_tol", "min_segment_area_m2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         density = self.density
         if density is not None and not (isinstance(density, (int, float)) and 0 < density < math.inf):
             raise ValueError(f"density must be a positive number, got {density!r}")

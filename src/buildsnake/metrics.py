@@ -20,6 +20,7 @@ __all__ = [
     "dare",
     "evaluate_pairs",
     "grid_covering",
+    "pair_by_centroid",
 ]
 
 
@@ -100,6 +101,24 @@ def dare(extracted, reference) -> float:
     """
     d = abs(dominant_angle(extracted) - dominant_angle(reference))
     return float(min(d, 180.0 - d))
+
+
+def pair_by_centroid(extracted, truth) -> list[tuple[int, int]]:
+    """Greedy one-to-one (extracted, truth) index pairs on vertex-centroid distance.
+
+    The closest remaining pair is taken first; of equal distances, the one
+    with the lowest extracted, then truth, index. Returned sorted.
+    """
+    ce = [np.asarray(p).mean(axis=0) for p in extracted]
+    ct = [np.asarray(p).mean(axis=0) for p in truth]
+    dist = np.array([[np.linalg.norm(a - b) for b in ct] for a in ce]).reshape(len(extracted), len(truth))
+    pairs = []
+    while dist.size and np.isfinite(dist).any():
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        pairs.append((int(i), int(j)))
+        dist[i, :] = np.inf
+        dist[:, j] = np.inf
+    return sorted(pairs)
 
 
 def evaluate_pairs(

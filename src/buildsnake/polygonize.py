@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import trim_mean
 
 from .geometry import (
     GridSpec,
@@ -63,183 +62,110 @@ def _largest_rectangle(mask: np.ndarray) -> tuple[int, int, int, int, int]:
     return best
 
 
-def _snap_coord(values: np.ndarray, fallback: float) -> float:
-    """25%-trimmed mean of supporting snake coordinates, if enough support."""
-    if len(values) >= 4:
-        return float(trim_mean(values, 0.25))
-    if len(values) >= 1:
-        return float(values.mean())
-    return fallback
+def _snap(pts: np.ndarray, axis: int, raw: float, lo: float, hi: float, band: float) -> float:
+    """Snap a notch side at `raw` on `axis` to the snake points beside it.
+
+    The support is every point within `band` of `raw` on `axis` and of
+    [lo, hi] on the other axis. The side moves to their 25 %-trimmed mean
+    (the mean of fewer than 4 points; `raw` when there are none).
+    """
+    across = pts[:, 1 - axis]
+    v = pts[(np.abs(pts[:, axis] - raw) <= band) & (across >= lo - band) & (across <= hi + band), axis]
+    n = len(v)
+    if n >= 4:
+        k = int(0.25 * n)
+        return float(np.partition(v, (k, n - k - 1))[k : n - k].mean())
+    return float(v.mean()) if n else raw
 
 
-def _snap_vertical(pts, x_raw, y_lo, y_hi, band):
-    sel = (np.abs(pts[:, 0] - x_raw) <= band) & (pts[:, 1] >= y_lo - band) & (pts[:, 1] <= y_hi + band)
-    return _snap_coord(pts[sel, 0], x_raw)
+def _corners(spans) -> list[tuple[float, float]]:
+    """Corners of the rectangle ((x0, x1), (y0, y1)), counter-clockwise from (x0, y0)."""
+    (x0, x1), (y0, y1) = spans
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
 
-def _snap_horizontal(pts, y_raw, x_lo, x_hi, band):
-    sel = (np.abs(pts[:, 1] - y_raw) <= band) & (pts[:, 0] >= x_lo - band) & (pts[:, 0] <= x_hi + band)
-    return _snap_coord(pts[sel, 1], y_raw)
+# The box side a notch opens on, as (axis, end) -> s: side s runs from
+# corner s to corner s + 1 of `_corners` (bottom, right, top, left).
+_SIDES = {(1, 0): 0, (0, 1): 1, (1, 1): 2, (0, 0): 3}
+# Touched box sides per axis -> level: one on each axis is a corner notch.
+_NOTCH_LEVEL = {(1, 1): LEVEL_LTZ, (1, 0): LEVEL_U, (0, 1): LEVEL_U}
 
 
-def _corner_notch_polygon(box, notch):
-    """Box minus a notch rectangle that shares one box corner (L shape)."""
-    minx, maxx, miny, maxy = box
-    nx0, nx1, ny0, ny1 = notch
-    left = nx0 <= minx
-    bottom = ny0 <= miny
-    if left and bottom:
-        return np.array([(nx1, miny), (maxx, miny), (maxx, maxy), (minx, maxy), (minx, ny1), (nx1, ny1)])
-    if not left and bottom:
-        return np.array([(minx, miny), (nx0, miny), (nx0, ny1), (maxx, ny1), (maxx, maxy), (minx, maxy)])
-    if left and not bottom:
-        return np.array([(minx, miny), (maxx, miny), (maxx, maxy), (nx1, maxy), (nx1, ny0), (minx, ny0)])
-    return np.array([(minx, miny), (maxx, miny), (maxx, ny0), (nx0, ny0), (nx0, maxy), (minx, maxy)])
+def _notched_box(box, notch, side) -> np.ndarray:
+    """Box minus a notch rectangle open on `side`, an (axis, end) pair.
+
+    The notch's corners go in clockwise after the box corner that opens
+    `side`. A box corner that a corner notch covers then appears twice, once
+    from each rectangle, and both copies are dropped. The ring starts at its
+    lowest, then leftmost vertex.
+    """
+    s = _SIDES[side]
+    outer, inner = _corners(box), _corners(notch)
+    ring = outer[: s + 1] + [inner[(s - i) % 4] for i in range(4)] + outer[s + 1 :]
+    ring = [p for p in ring if ring.count(p) == 1]
+    start = min(range(len(ring)), key=lambda i: (ring[i][1], ring[i][0]))
+    return np.array(ring[start:] + ring[:start])
 
 
-def _edge_notch_polygon(box, notch, side):
-    """Box minus a notch open on exactly one box side (U shape)."""
-    minx, maxx, miny, maxy = box
-    nx0, nx1, ny0, ny1 = notch
-    if side == "top":
-        return np.array(
-            [(minx, miny), (maxx, miny), (maxx, maxy), (nx1, maxy), (nx1, ny0), (nx0, ny0), (nx0, maxy), (minx, maxy)]
-        )
-    if side == "bottom":
-        return np.array(
-            [(minx, miny), (nx0, miny), (nx0, ny1), (nx1, ny1), (nx1, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
-        )
-    if side == "right":
-        return np.array(
-            [(minx, miny), (maxx, miny), (maxx, ny0), (nx0, ny0), (nx0, ny1), (maxx, ny1), (maxx, maxy), (minx, maxy)]
-        )
-    return np.array(
-        [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy), (minx, ny1), (nx1, ny1), (nx1, ny0), (minx, ny0)]
-    )
-
-
-def fit_rectilinear(
-    snake: np.ndarray,
-    mbr: OrientedRect,
-    sym_diff_tol: float = 0.10,
-    cell: float = 1.0,
-) -> BuildingPolygon:
+def fit_rectilinear(snake: np.ndarray, mbr: OrientedRect, sym_diff_tol: float = 0.10) -> BuildingPolygon:
     """Fit the lowest rectilinear shape level matching the snake region.
 
-    The snake is rotated into the MBR frame and rasterized at `cell`-sized
-    pixels. Candidate shapes are the frame-aligned bounding box, the box
-    minus the largest rectangular deficit (corner notch -> L/T/Z, mid-edge
-    notch -> U). The first level whose symmetric difference against the
-    snake region is within sym_diff_tol of the region area wins.
+    The snake is rotated into the MBR frame and rasterized on a 1-px grid.
+    There are at most two candidates. The first is the frame-aligned
+    bounding box (rectangle). The second is the box minus its largest
+    rectangular deficit, with the deficit's free sides snapped to the snake.
+    Its level comes from the box sides the deficit reaches: one low or high
+    side on each axis gives L/T/Z, exactly one side gives U, and anything
+    else gives no second candidate. The first candidate whose symmetric
+    difference against the snake region is within sym_diff_tol of the region
+    area wins; if none is, the one with the smallest ratio wins.
     """
-    pts = np.asarray(getattr(snake, "pixels", snake), dtype=float)
+    pts = np.asarray(snake, dtype=float)
     theta = mbr.angle_deg
     center = np.asarray(mbr.center)
     local = rotate_points(pts, -theta, center)
-    minx, miny = local.min(axis=0)
-    maxx, maxy = local.max(axis=0)
-    box = (minx, maxx, miny, maxy)
-
-    grid = GridSpec(
-        origin=(minx - cell, miny - cell),
-        cell_size=cell,
-        width=int(np.ceil((maxx - minx) / cell)) + 2,
-        height=int(np.ceil((maxy - miny) / cell)) + 2,
-    )
+    box = tuple(zip(local.min(axis=0), local.max(axis=0)))  # ((minx, maxx), (miny, maxy))
+    width, height = (int(np.ceil(hi - lo)) + 2 for lo, hi in box)
+    grid = GridSpec(origin=tuple(lo - 1.0 for lo, _ in box), cell_size=1.0, width=width, height=height)
     region = rasterize_polygon(local, grid)
-    region_area = region.sum() * cell * cell
+    region_area = region.sum()
     if region_area == 0:
         raise ValueError("snake region rasterizes to zero area")
 
-    xc, yc = grid.x_centers(), grid.y_centers()
-    box_mask = ((xc >= minx) & (xc <= maxx))[None, :] & ((yc >= miny) & (yc <= maxy))[:, None]
-    cols = np.flatnonzero(box_mask.any(axis=0))
-    rows = np.flatnonzero(box_mask.any(axis=1))
-    cb0, cb1 = int(cols[0]), int(cols[-1])
-    rb0, rb1 = int(rows[0]), int(rows[-1])
+    # Per axis, the grid cells whose centers lie in the box.
+    in_box = [(c >= lo) & (c <= hi) for c, (lo, hi) in zip((grid.x_centers(), grid.y_centers()), box)]
+    box_cells = [np.flatnonzero(m)[[0, -1]] for m in in_box]
 
     def symdiff_ratio(candidate: np.ndarray) -> float:
-        cand_mask = rasterize_polygon(candidate, grid)
-        return float((cand_mask ^ region).sum() * cell * cell / region_area)
+        return float((rasterize_polygon(candidate, grid) ^ region).sum() / region_area)
 
-    rect_poly = np.array([(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)])
+    rect_poly = np.array(_corners(box))
     candidates: list[tuple[str, np.ndarray, float]] = [(LEVEL_RECT, rect_poly, symdiff_ratio(rect_poly))]
 
-    deficit = box_mask & ~region
-    area_px, r0, r1, c0, c1 = _largest_rectangle(deficit)
-    if area_px > 0:
-        ox, oy = grid.origin
-        touches = {
-            "left": c0 <= cb0,
-            "right": c1 - 1 >= cb1,
-            "bottom": r0 <= rb0,
-            "top": r1 - 1 >= rb1,
-        }
-        n_touch = sum(touches.values())
-        nx0, nx1 = ox + c0 * cell, ox + c1 * cell
-        ny0, ny1 = oy + r0 * cell, oy + r1 * cell
-        band = 2.0 * cell
-        lo_x, hi_x = minx + cell, maxx - cell
-        lo_y, hi_y = miny + cell, maxy - cell
-
-        notch_poly = None
-        level = None
-        if n_touch == 2 and not (
-            (touches["left"] and touches["right"]) or (touches["top"] and touches["bottom"])
-        ):
-            # Corner notch: snap the two interior edges.
-            if touches["left"]:
-                nx0 = minx
-                nx1 = np.clip(_snap_vertical(local, nx1, ny0, ny1, band), lo_x, hi_x)
-            else:
-                nx1 = maxx
-                nx0 = np.clip(_snap_vertical(local, nx0, ny0, ny1, band), lo_x, hi_x)
-            if touches["bottom"]:
-                ny0 = miny
-                ny1 = np.clip(_snap_horizontal(local, ny1, nx0, nx1, band), lo_y, hi_y)
-            else:
-                ny1 = maxy
-                ny0 = np.clip(_snap_horizontal(local, ny0, nx0, nx1, band), lo_y, hi_y)
-            notch_poly = _corner_notch_polygon(box, (nx0, nx1, ny0, ny1))
-            level = LEVEL_LTZ
-        elif n_touch == 1:
-            # Mid-edge notch: snap two side walls plus the floor.
-            side = next(s for s, t in touches.items() if t)
-            if side in ("top", "bottom"):
-                nx0 = np.clip(_snap_vertical(local, nx0, ny0, ny1, band), lo_x, hi_x)
-                nx1 = np.clip(_snap_vertical(local, nx1, ny0, ny1, band), lo_x, hi_x)
-                if side == "top":
-                    ny1 = maxy
-                    ny0 = np.clip(_snap_horizontal(local, ny0, nx0, nx1, band), lo_y, hi_y)
+    area_px, r0, r1, c0, c1 = _largest_rectangle((in_box[0][None, :] & in_box[1][:, None]) & ~region)
+    cells = ((c0, c1), (r0, r1))
+    touch = [(a <= first, b - 1 >= last) for (a, b), (first, last) in zip(cells, box_cells)]
+    hits = tuple(int(sum(t)) for t in touch)
+    level = _NOTCH_LEVEL.get(hits) if area_px > 0 else None
+    if level is not None:
+        notch = [[o + a, o + b] for o, (a, b) in zip(grid.origin, cells)]
+        # The axis with no touched side (a U's walls) goes first, and x first
+        # for a corner notch: each snap reads the other axis's current span.
+        for axis in sorted((0, 1), key=lambda a: hits[a]):
+            lo, hi = box[axis]
+            for end in (0, 1):
+                if touch[axis][end]:
+                    notch[axis][end] = box[axis][end]
                 else:
-                    ny0 = miny
-                    ny1 = np.clip(_snap_horizontal(local, ny1, nx0, nx1, band), lo_y, hi_y)
-                valid = nx1 - nx0 > cell
-            else:
-                ny0 = np.clip(_snap_horizontal(local, ny0, nx0, nx1, band), lo_y, hi_y)
-                ny1 = np.clip(_snap_horizontal(local, ny1, nx0, nx1, band), lo_y, hi_y)
-                if side == "right":
-                    nx1 = maxx
-                    nx0 = np.clip(_snap_vertical(local, nx0, ny0, ny1, band), lo_x, hi_x)
-                else:
-                    nx0 = minx
-                    nx1 = np.clip(_snap_vertical(local, nx1, ny0, ny1, band), lo_x, hi_x)
-                valid = ny1 - ny0 > cell
-            if valid:
-                notch_poly = _edge_notch_polygon(box, (nx0, nx1, ny0, ny1), side)
-                level = LEVEL_U
+                    snapped = _snap(local, axis, notch[axis][end], *notch[1 - axis], band=2.0)
+                    notch[axis][end] = np.clip(snapped, lo + 1, hi - 1)
+        # A U's walls must stay more than one pixel apart.
+        if all(hi - lo > 1 for (lo, hi), n in zip(notch, hits) if n == 0):
+            side = next((a, e) for a in (0, 1) for e in (0, 1) if touch[a][e])
+            poly = _notched_box(box, notch, side)
+            candidates.append((level, poly, symdiff_ratio(poly)))
 
-        if notch_poly is not None:
-            candidates.append((level, notch_poly, symdiff_ratio(notch_poly)))
-
-    chosen = None
-    for level, poly, ratio in candidates:  # ordered lowest level first
-        if ratio <= sym_diff_tol:
-            chosen = (level, poly)
-            break
-    if chosen is None:
-        level, poly, _ = min(candidates, key=lambda c: c[2])
-        chosen = (level, poly)
-
-    world = rotate_points(chosen[1], theta, center)
-    return BuildingPolygon(polygon=world, shape_level=chosen[0], orientation_deg=theta)
+    # Candidates are ordered lowest level first.
+    level, poly, _ = next((c for c in candidates if c[2] <= sym_diff_tol), min(candidates, key=lambda c: c[2]))
+    world = rotate_points(poly, theta, center)
+    return BuildingPolygon(polygon=world, shape_level=level, orientation_deg=theta)

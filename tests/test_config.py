@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from buildsnake.config import SnakeConfig
@@ -17,11 +19,22 @@ from buildsnake.config import SnakeConfig
         ("gvf_iters", float("inf"), "gvf_iters must be an integer, got inf"),
         ("resample_every", True, "resample_every must be an integer, got True"),
         ("connectivity", "8", "connectivity must be an integer, got '8'"),
+        ("sym_diff_tol", -1.0, "sym_diff_tol must be non-negative, got -1.0"),
+        ("min_segment_area_m2", -5, "min_segment_area_m2 must be non-negative, got -5"),
     ],
 )
 def test_invalid_value_raises(key, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SnakeConfig(**{key: value})
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(SnakeConfig) if not isinstance(f.default, (int, str))]
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_nan_float_value_raises(key):
+    with pytest.raises(ValueError, match=f"^{key} must be a number, got nan$"):
+        SnakeConfig(**{key: float("nan")})
 
 
 def test_integral_float_is_stored_as_int():

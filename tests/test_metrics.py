@@ -13,6 +13,7 @@ from buildsnake.metrics import (
     evaluate_pairs,
     grid_covering,
     iou,
+    pair_by_centroid,
 )
 
 SQUARE10 = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float)
@@ -177,3 +178,35 @@ def test_evaluate_pairs_report_shape():
     assert report["per_building"][1]["edc"] == pytest.approx(
         np.hypot(0.5, 0.5) * 0.15, rel=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# centroid pairing
+
+
+def test_pair_by_centroid_empty_sides():
+    assert pair_by_centroid([], []) == []
+    assert pair_by_centroid([SQUARE10], []) == []
+    assert pair_by_centroid([], [SQUARE10, SQUARE10 + 50]) == []
+
+
+def test_pair_by_centroid_more_extracted_than_truth():
+    truth = [SQUARE10 + 100, SQUARE10]
+    extracted = [SQUARE10 + 1, SQUARE10 + 300, SQUARE10 + 98]
+    assert pair_by_centroid(extracted, truth) == [(0, 1), (2, 0)]
+
+
+def test_pair_by_centroid_closest_first_is_not_per_row_nearest():
+    # Extracted 0 is nearest truth 0, but extracted 1 is nearer still, so
+    # extracted 0 takes truth 1.
+    truth = [SQUARE10, SQUARE10 + [30, 0]]
+    extracted = [SQUARE10 + [5, 0], SQUARE10 + [-1, 0]]
+    assert pair_by_centroid(extracted, truth) == [(0, 1), (1, 0)]
+
+
+def test_pair_by_centroid_equal_distances_take_lowest_indices():
+    # Every distance is equal: pairs go in order of extracted, then truth index.
+    extracted = [SQUARE10 + [0, 5], SQUARE10 + [0, -5]]
+    truth = [SQUARE10 + [5, 0], SQUARE10 + [-5, 0]]
+    assert pair_by_centroid(extracted, truth) == [(0, 0), (1, 1)]
+    assert pair_by_centroid(extracted[:1], truth) == [(0, 0)]
