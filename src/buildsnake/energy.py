@@ -5,16 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import gaussian_smooth, gradient
+from .raster import STRIP_ELEMS, gaussian_smooth, gradient
 
 __all__ = ["GvfField", "image_energy", "image_energy_terms", "compute_gvf", "gvf_residual"]
 
 # Regularizer for the termination-term denominator on flat regions.
 TERM_EPS = 1e-6
-
-# Pixels per field in one row strip of the GVF solve, so that the strip's
-# fields and buffers stay in L2 cache. Of 4k to 64k, 16k measured fastest.
-STRIP_ELEMS = 16384
 
 
 @dataclass

@@ -146,8 +146,8 @@ def separate_ground(
 def project_to_grid(nonground: PointCloud3D, density: float) -> BinaryGrid:
     """Occupancy grid of vertically projected points.
 
-    cell_size = sqrt(2 / density) so an occupied cell holds two points in
-    expectation, keeping holes inside building segments rare.
+    cell_size = sqrt(2 / density): a roof cell holds two points in expectation
+    and is empty with probability e^-2, so about 13.5 % of roof cells are holes.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -220,11 +220,11 @@ def extract_boundaries(
     opening_radius: int = 1,
     min_area_m2: float = 10.0,
     connectivity: int = 8,
-) -> tuple[list[BuildingBoundary3D], BinaryGrid, np.ndarray]:
+) -> tuple[list[BuildingBoundary3D], BinaryGrid | None, np.ndarray | None]:
     """Full LiDAR stage: per-building 3D boundaries plus debug rasters.
 
-    Returns ([], grid-or-None, labels) gracefully when no non-ground points
-    or no sufficiently large segments exist.
+    Returns ([], None, None) when there are no non-ground points, and
+    ([], grid, labels) when no segment passes the area filter.
     """
     _, nonground = separate_ground(cloud, ground_class=ground_class)
     if len(nonground) == 0:

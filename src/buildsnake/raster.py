@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "BinaryGrid",
@@ -22,6 +21,10 @@ __all__ = [
     "connected_components",
     "disk_element",
 ]
+
+# Pixels per array in one row strip of the Gaussian blur and the GVF solve, so
+# a strip's buffers stay in L2 cache; of 4k to 64k, 16k ran the GVF fastest.
+STRIP_ELEMS = 16384
 
 
 @dataclass
@@ -173,15 +176,44 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with edge-replicated borders."""
+    """Separable Gaussian blur with edge-replicated borders.
+
+    The same bytes as scipy.ndimage.correlate1d on axis 0, then axis 1, with
+    mode="nearest": the centre tap first, then (x[i-j] + x[i+j]) * k[j] from
+    the outermost tap inward. Both passes run on flat buffers, one strip of
+    rows at a time; the row pass drops its outputs that straddle two rows.
+    """
     img = np.asarray(img, dtype=float)
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return img.copy()
     k = gaussian_kernel(sigma)
-    out = ndimage.correlate1d(img, k, axis=0, mode="nearest")
-    return ndimage.correlate1d(out, k, axis=1, mode="nearest")
+    r = len(k) // 2
+    h, w = img.shape
+    rows = min(h, max(1, STRIP_ELEMS // w))
+    out = np.empty((h, w))
+    src = np.empty((rows + 2 * r, w))  # the strip and r clamped rows on each side
+    pad = np.empty((rows, w + 2 * r))  # the column pass, edge-padded by r
+    res, tmp = np.empty(pad.size), np.empty(pad.size)
+
+    def correlate(x, step, n):  # res[i] = sum over j of k[j] * x[i + j*step]
+        acc, t = res[:n], tmp[:n]
+        np.multiply(x[r * step : r * step + n], k[r], out=acc)
+        for j in range(r):
+            np.add(x[j * step : j * step + n], x[(2 * r - j) * step : (2 * r - j) * step + n], out=t)
+            t *= k[j]
+            acc += t
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
+        np.take(img, np.arange(r0 - r, r0 + n + r), axis=0, out=src[: n + 2 * r], mode="clip")
+        correlate(src.ravel(), w, n * w)
+        p = pad[:n]
+        p[:, r : r + w] = res[: n * w].reshape(n, w)
+        p[:, :r], p[:, r + w :] = p[:, r : r + 1], p[:, r + w - 1 : r + w]
+        correlate(p.ravel(), 1, p.size - 2 * r)
+        out[r0 : r0 + n] = res[: p.size].reshape(n, -1)[:, :w]
+    return out
 
 
 def gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,31 +238,54 @@ def disk_element(radius: int) -> np.ndarray:
     return (x * x + y * y) <= r * r
 
 
+def _disk_reduce(cells: np.ndarray, radius: int, op) -> np.ndarray:
+    """Erode (op=np.logical_and) or dilate (np.logical_or) by a disk; outside is empty."""
+    se = disk_element(radius)
+    h, w = cells.shape
+    p = np.pad(cells, se.shape[0] // 2)
+    return op.reduce([p[dy : dy + h, dx : dx + w] for dy, dx in np.argwhere(se)])
+
+
 def morphological_open(grid: BinaryGrid, radius: int = 1) -> BinaryGrid:
     """Erosion followed by dilation with a disk element; outside is empty."""
-    se = disk_element(radius)
-    eroded = ndimage.binary_erosion(grid.cells, structure=se, border_value=0)
-    opened = ndimage.binary_dilation(eroded, structure=se, border_value=0)
+    eroded = _disk_reduce(grid.cells, radius, np.logical_and)
+    opened = _disk_reduce(eroded, radius, np.logical_or)
     return BinaryGrid(cells=opened, cell_size=grid.cell_size, origin=grid.origin)
 
 
 def connected_components(grid: BinaryGrid, connectivity: int = 8) -> tuple[np.ndarray, int]:
-    """Label connected true cells; labels 1..K in raster-scan first-touch order."""
-    if connectivity == 4:
-        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    elif connectivity == 8:
-        structure = np.ones((3, 3), dtype=bool)
-    else:
+    """Label connected true cells; labels 1..K in raster-scan first-touch order.
+
+    Row runs of true cells, numbered in raster order, are joined to the runs
+    they touch in the row above by a union-find whose roots are the lowest
+    runs, so numbering the roots in order numbers the components by first cell.
+    """
+    if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
-    labels, count = ndimage.label(grid.cells, structure=structure)
-    if count == 0:
-        return labels, 0
-    flat = labels.ravel()
-    nz = np.flatnonzero(flat)
-    # Relabel so label k is the k-th component touched in raster order.
-    first = np.full(count + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat[nz], nz)
-    order = np.argsort(first[1:], kind="stable")
-    remap = np.zeros(count + 1, dtype=labels.dtype)
-    remap[order + 1] = np.arange(1, count + 1)
-    return remap[labels], count
+    h, w = grid.cells.shape
+    # Run starts and ends (one past the last cell) at flat index row * (w + 1) + col.
+    edges = np.diff(grid.cells.astype(np.int8), axis=1, prepend=0, append=0).ravel()
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    # The runs one row up that end after a run's start and start before its
+    # end, with one column of slack for 8-connectivity.
+    slack = int(connectivity == 8)
+    lo = np.searchsorted(ends, starts - (w + 1) - slack, side="right")
+    touch = np.maximum(np.searchsorted(starts, ends - (w + 1) + slack) - lo, 0)
+    below = np.repeat(np.arange(len(starts)), touch)
+    above = np.repeat(lo - np.cumsum(touch) + touch, touch) + np.arange(len(below))
+    parent = list(range(len(starts)))
+
+    def root(i):  # path halving
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+    for a, b in zip(above.tolist(), below.tolist()):
+        a, b = root(a), root(b)
+        parent[max(a, b)] = min(a, b)
+    roots = np.array([root(i) for i in range(len(parent))], dtype=np.int64)
+    run_label = np.cumsum(roots == np.arange(len(roots)), dtype=np.int32)[roots]
+    marks = np.zeros(h * (w + 1), dtype=np.int32)
+    marks[starts] = run_label
+    marks[ends] -= run_label
+    labels = np.cumsum(marks, dtype=np.int32).reshape(h, w + 1)[:, :w]
+    return np.ascontiguousarray(labels), int(run_label.max(initial=0))

@@ -19,12 +19,11 @@ from .geometry import (
     polygon_centroid,
     rasterize_polygon,
 )
-from .lidar import PointCloud3D
+from .lidar import GROUND_CLASS, PointCloud3D
 from .transform import AffineTransform2D
 
 __all__ = ["BuildingSpec", "ShadowSpec", "SceneSpec", "generate_scene", "quebec_like_spec"]
 
-GROUND_CLASS = 2
 BUILDING_CLASS = 6
 TERRAIN_NOISE_M = 0.3
 

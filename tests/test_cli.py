@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from buildsnake import cli, raster
+from buildsnake import cli, lidar, raster
 from buildsnake.cli import main
 from buildsnake.config import SnakeConfig
 from buildsnake.geometry import polygon_to_wkt, wkt_to_polygon
@@ -14,6 +17,8 @@ from buildsnake.polygonize import building_mbr
 from buildsnake.synthetic import BuildingSpec, SceneSpec, quebec_like_spec
 
 from conftest import pixel_iou
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +375,34 @@ def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, caps
     assert not (out / "run.json").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cloud: cloud.classes.fill(6), "no points with ground class 2"),
+        (lambda cloud: cloud.xyz[:, 0].fill(5.0), "cloud has zero planar extent"),
+    ],
+    ids=["no-ground-class", "constant-x"],
+)
+def test_extract_degenerate_cloud_exits_1(small_scene_dir, tmp_path, capsys, edit, message):
+    cloud = lidar.parse_xyz((small_scene_dir / "cloud.xyz").read_text(encoding="utf-8"))
+    edit(cloud)
+    bad = tmp_path / "cloud.xyz"
+    bad.write_text(lidar.write_xyz(cloud), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "extract",
+            "--image", str(small_scene_dir / "scene.pgm"),
+            "--cloud", str(bad),
+            "--transform", str(small_scene_dir / "transform.txt"),
+            "--outdir", str(out),
+        ]
+    )
+    assert rc == 1
+    assert f"error: [lidar] {message}" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
 def test_evaluate_degenerate_polygon_exits_1(small_scene_dir, tmp_path, capsys):
     bad = tmp_path / "bad.wkt"
     # Zero-area sliver: rasterizes to nothing, so the rates are undefined.
@@ -479,3 +512,38 @@ def test_fit_transform_collinear_exits_2(tmp_path):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n", encoding="utf-8")
     assert main(["fit-transform", "--pairs", str(pairs)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# scipy is a test oracle only
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import buildsnake.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_synth_and_extract_basic_run_without_scipy(small_scene_dir, tmp_path):
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    synth = ["synth", "--spec", str(small_scene_dir / "spec.json"), "--outdir", str(scene)]
+    extract = [
+        "extract", "--mode", "basic",
+        "--image", str(scene / "scene.pgm"),
+        "--cloud", str(scene / "cloud.xyz"),
+        "--transform", str(scene / "transform.txt"),
+        "--outdir", str(out),
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "from buildsnake.cli import main\n"
+        f"sys.exit(main({synth!r}) or main({extract!r}))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert len(read_wkts(out / "footprints.wkt")) == 2

@@ -5,14 +5,13 @@ import pytest
 
 from buildsnake.config import SnakeConfig
 from buildsnake.energy import (
-    STRIP_ELEMS,
     _laplacian,
     compute_gvf,
     gvf_residual,
     image_energy,
     image_energy_terms,
 )
-from buildsnake.raster import gaussian_smooth, gradient
+from buildsnake.raster import STRIP_ELEMS, gaussian_smooth, gradient
 from buildsnake.synthetic import generate_scene, quebec_like_spec
 
 

@@ -1,9 +1,5 @@
 from __future__ import annotations
 
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.stats import trim_mean
@@ -479,9 +475,3 @@ def test_snap_trimmed_mean_matches_scipy_bit_for_bit():
         got_y = _snap(pts[:, ::-1], 1, 50.0, 0.0, 0.0, band=np.inf)
         assert got_y == got
 
-
-def test_cli_import_leaves_scipy_stats_out():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    code = f"import sys; sys.path.insert(0, {src!r}); import buildsnake.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"

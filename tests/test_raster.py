@@ -4,8 +4,10 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from buildsnake.raster import (
+    STRIP_ELEMS,
     BinaryGrid,
     connected_components,
     disk_element,
@@ -273,3 +275,58 @@ def test_cc_count_invariant_under_transpose():
     _, n = connected_components(grid(cells), 8)
     _, nt = connected_components(grid(cells.T), 8)
     assert n == nt
+
+
+# ---------------------------------------------------------------------------
+# scipy.ndimage oracles: the numpy code gives the same bytes
+
+
+def _smooth_inputs(preset_img):
+    rng = np.random.default_rng(3)
+    w = 40
+    rows = STRIP_ELEMS // w  # rows per strip at this width
+    yield preset_img
+    for shape in [(3, 3), (1, 57), (57, 1), (37, 53), (2 * rows + 7, w)]:
+        yield rng.uniform(0.0, 255.0, shape)
+
+
+@pytest.mark.parametrize("sigma", [10.0, 2.5, 0.7])
+def test_smooth_matches_ndimage_bit_for_bit(quebec_scene, sigma):
+    k = gaussian_kernel(sigma)
+    for img in _smooth_inputs(quebec_scene[1]):
+        ref = ndimage.correlate1d(img, k, axis=0, mode="nearest")
+        ref = ndimage.correlate1d(ref, k, axis=1, mode="nearest")
+        assert gaussian_smooth(img, sigma).tobytes() == ref.tobytes(), img.shape
+
+
+def _oracle_masks():
+    rng = np.random.default_rng(11)
+    yield np.ones((1, 1), dtype=bool)
+    yield np.zeros((1, 1), dtype=bool)
+    yield rng.uniform(size=(1, 60)) < 0.6
+    yield rng.uniform(size=(60, 1)) < 0.6
+    yield np.zeros((23, 31), dtype=bool)
+    yield np.ones((23, 31), dtype=bool)
+    for p in (0.3, 0.5, 0.7):
+        for _ in range(30):
+            yield rng.uniform(size=tuple(rng.integers(2, 48, 2))) < p
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_open_matches_ndimage_bit_for_bit(radius):
+    se = disk_element(radius)
+    for cells in _oracle_masks():
+        eroded = ndimage.binary_erosion(cells, structure=se, border_value=0)
+        ref = ndimage.binary_dilation(eroded, structure=se, border_value=0)
+        assert np.array_equal(morphological_open(grid(cells), radius).cells, ref), cells.shape
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_cc_matches_ndimage_label(connectivity):
+    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+    for cells in _oracle_masks():
+        ref, ref_count = ndimage.label(cells, structure=structure)
+        labels, count = connected_components(grid(cells), connectivity)
+        assert count == ref_count
+        assert labels.dtype == ref.dtype
+        assert np.array_equal(labels, ref), cells.shape
