@@ -32,13 +32,26 @@ def image_energy_terms(gray: np.ndarray, sigma: float) -> tuple[np.ndarray, np.n
     c = gaussian_smooth(gray, sigma)
     cx, cy = gradient(c)
     cxx, cxy = gradient(cx)
-    _, cyy = gradient(cy)
+    cyy = np.gradient(cy, axis=0)
+    grad_sq = cx * cx
+    grad_sq += cy * cy
+    # (cyy cx cx - 2 cxy cx cy + cxx cy cy) / (grad_sq^1.5 + eps), built in
+    # place with the operations in that order.
+    e_term = cyy
+    e_term *= cx
+    e_term *= cx
+    cxy *= 2.0
+    cxy *= cx
+    cxy *= cy
+    e_term -= cxy
+    cxx *= cy
+    cxx *= cy
+    e_term += cxx
+    den = grad_sq**1.5
+    den += TERM_EPS
+    e_term /= den
     e_line = c
-    grad_sq = cx * cx + cy * cy
-    e_edge = -grad_sq
-    e_term = (cyy * cx * cx - 2.0 * cxy * cx * cy + cxx * cy * cy) / (
-        grad_sq**1.5 + TERM_EPS
-    )
+    e_edge = np.negative(grad_sq, out=grad_sq)
     return e_line, e_edge, e_term
 
 

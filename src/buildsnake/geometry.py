@@ -149,7 +149,8 @@ def min_area_rect(points) -> OrientedRect:
     edges = np.roll(hull, -1, axis=0) - hull
     angles = np.degrees(np.arctan2(edges[:, 1], edges[:, 0])) % 90.0
     best = None  # (area, angle, (minx, maxx, miny, maxy))
-    for phi in np.unique(angles):
+    angles.sort()
+    for phi in angles[np.concatenate(([True], angles[1:] != angles[:-1]))]:
         rot = rotate_points(hull, -phi)
         minx, miny = rot.min(axis=0)
         maxx, maxy = rot.max(axis=0)
@@ -283,31 +284,42 @@ def points_in_polygon(points, polygon) -> np.ndarray:
 
 
 def rasterize_polygon(polygon, grid: GridSpec) -> np.ndarray:
-    """Scanline fill: a cell is set iff its center is inside (even-odd rule)."""
+    """Scanline fill: a cell is set iff its center is inside (even-odd rule).
+
+    Row i's crossings are the x where the edges spanning yc = y_centers[i]
+    (half-open in y) cross it. Sorted by (row, x), they pair up 0-1, 2-3 and
+    so on: an edge spans yc iff exactly one of its ends lies at or below yc,
+    so a closed ring crosses every row an even number of times and the pairs
+    never straddle rows. Each pair sets the centers in [left, right) through
+    a +1/-1 difference array that a cumulative sum along the row fills in.
+    """
     pts = _as_points(polygon)
     if len(pts) < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    mask = np.zeros((grid.height, grid.width), dtype=bool)
     x1, y1 = pts[:, 0], pts[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     nonflat = y1 != y2
-    if not nonflat.any():
-        return mask
     ex1, ey1, ex2, ey2 = x1[nonflat], y1[nonflat], x2[nonflat], y2[nonflat]
-    cs = grid.cell_size
-    ox = grid.origin[0]
-    for i, yc in enumerate(grid.y_centers()):
-        spans = ((ey1 <= yc) & (yc < ey2)) | ((ey2 <= yc) & (yc < ey1))
-        if not spans.any():
-            continue
-        xc = ex1[spans] + (yc - ey1[spans]) * (ex2[spans] - ex1[spans]) / (ey2[spans] - ey1[spans])
-        xc.sort()
-        for k in range(0, len(xc) - 1, 2):
-            # Pixel centers in [xc[k], xc[k+1]): ox + (j+0.5)*cs >= left, < right.
-            j0 = int(np.ceil((xc[k] - ox) / cs - 0.5))
-            j1 = int(np.ceil((xc[k + 1] - ox) / cs - 0.5))
-            mask[i, max(j0, 0) : min(j1, grid.width)] = True
-    return mask
+    yc = grid.y_centers()
+    # Rows whose center lies in [min(ey1, ey2), max(ey1, ey2)), per edge.
+    first = np.searchsorted(yc, np.minimum(ey1, ey2))
+    count = np.searchsorted(yc, np.maximum(ey1, ey2)) - first
+    edge = np.repeat(np.arange(len(ex1)), count)
+    row = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count - first, count)
+    xc = ex1[edge] + (yc[row] - ey1[edge]) * (ex2[edge] - ex1[edge]) / (ey2[edge] - ey1[edge])
+    order = np.lexsort((xc, row))
+    row, xc = row[order[::2]], xc[order]
+    # Pixel centers in [left, right): ox + (j + 0.5) * cs >= left, < right.
+    cs, ox = grid.cell_size, grid.origin[0]
+    j = np.clip(np.ceil((xc - ox) / cs - 0.5), 0, grid.width).astype(np.intp)
+    j0, j1 = j[::2], j[1::2]
+    run = j0 < j1
+    # Runs of one row are disjoint and ordered, so no two share a start or an
+    # end, and a run that starts where another ends cancels to 0 there.
+    diff = np.zeros((grid.height, grid.width + 1), dtype=np.int8)
+    diff[row[run], j0[run]] = 1
+    diff[row[run], j1[run]] -= 1
+    return np.cumsum(diff[:, :-1], axis=1, dtype=np.int8).view(bool)
 
 
 def dominant_angle(polygon) -> float:

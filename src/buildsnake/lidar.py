@@ -72,27 +72,43 @@ class ProjectedBoundary:
 
 
 def parse_xyz(text: str) -> PointCloud3D:
-    """Parse `x y z [class]` lines; '#' starts a comment."""
-    rows = []
-    classes = []
-    has_class = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) not in (3, 4):
-            raise ValueError(f"line {lineno}: expected 'x y z [class]', got {line!r}")
-        if has_class is None:
-            has_class = len(parts) == 4
-        elif has_class != (len(parts) == 4):
-            raise ValueError(f"line {lineno}: inconsistent column count")
-        rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
-        if has_class:
-            classes.append(int(parts[3]))
-    if not rows:
+    """Parse `x y z [class]` lines; '#' starts a comment.
+
+    The first data line sets the column count; numpy's text reader parses
+    every line, with the classes as integers.
+    """
+    lines = text.splitlines()
+    first = next((line for line in lines if line.split("#", 1)[0].strip()), None)
+    if first is None:
         raise ValueError("point cloud file contains no points")
-    return PointCloud3D(np.asarray(rows), np.asarray(classes) if has_class else None)
+    has_class = len(first.split("#", 1)[0].split()) == 4
+    dtype = [("xyz", float, 3), ("cls", int)] if has_class else [("xyz", float, 3)]
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+    except ValueError as exc:
+        raise _line_error(lines, has_class) or exc from None
+    cls = np.ascontiguousarray(rows["cls"]) if has_class else None
+    return PointCloud3D(np.ascontiguousarray(rows["xyz"]), cls)
+
+
+def _line_error(lines: list[str], has_class: bool) -> ValueError | None:
+    """The error of the first data line that is not 'x y z', or 'x y z class'."""
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) not in (3, 4):
+            return ValueError(f"line {lineno}: expected 'x y z [class]', got {line!r}")
+        if has_class != (len(parts) == 4):
+            return ValueError(f"line {lineno}: inconsistent column count")
+        try:
+            for p in parts[:3]:
+                float(p)
+            for p in parts[3:]:
+                int(p)
+        except ValueError as exc:
+            return ValueError(f"line {lineno}: {exc}")
+    return None
 
 
 def write_xyz(cloud: PointCloud3D) -> str:
@@ -111,8 +127,9 @@ def _ground_elevations_fallback(cloud: PointCloud3D, tile: float = 10.0) -> np.n
     col = np.floor((xyz[:, 0] - xyz[:, 0].min()) / tile).astype(int)
     row = np.floor((xyz[:, 1] - xyz[:, 1].min()) / tile).astype(int)
     key = row * (col.max() + 1) + col
+    key_sorted = np.sort(key)
     samples = []
-    for k in np.unique(key):
+    for k in key_sorted[np.concatenate(([True], key_sorted[1:] != key_sorted[:-1]))]:
         z = np.sort(xyz[key == k, 2])
         take = max(1, int(np.ceil(0.1 * len(z))))
         samples.append(z[:take])
@@ -195,7 +212,7 @@ def select_building_points(
     point_label[inside] = labels[row[inside], col[inside]]
     return {
         int(lbl): cloud.subset(point_label == lbl)
-        for lbl in np.unique(point_label)
+        for lbl in np.flatnonzero(np.bincount(point_label))
         if lbl > 0
     }
 

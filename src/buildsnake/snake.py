@@ -3,9 +3,16 @@
 The contour is a closed (N, 2) array of pixel coordinates, advanced with the
 semi-implicit scheme (gamma I + A) x_new = gamma x_old + F(x_old), where A is
 the cyclic pentadiagonal operator of the tension/rigidity terms.
+
+gamma I + A is circulant and symmetric, so `system_inverse` builds its inverse
+in closed form from one real FFT pair of its first row. A dense LAPACK
+inversion goes through threaded BLAS, whose thread start-up can cost far more
+than the inversion itself and whose bits change with the thread count; the
+closed form needs no BLAS call and gives the same bits on any thread count.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +27,7 @@ __all__ = [
     "prepare_fields",
     "resample_closed",
     "system_matrix",
+    "system_inverse",
     "evolve_step",
     "sample_force",
     "shape_sim_energy",
@@ -38,15 +46,16 @@ class ExternalFields:
 
 
 def _rescale_force(fx: np.ndarray, fy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide by the global max magnitude so the strongest force is 1.
+    """Divide in place by the global max magnitude so the strongest force is 1.
 
     Keeps relative strengths intact while making the step size implied by
     gamma independent of the image's dynamic range.
     """
     peak = float(np.hypot(fx, fy).max())
-    if peak <= 0:
-        return fx, fy
-    return fx / peak, fy / peak
+    if peak > 0:
+        fx /= peak
+        fy /= peak
+    return fx, fy
 
 
 def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ExternalFields:
@@ -59,10 +68,11 @@ def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ExternalFields:
     e_img = image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     if cfg.mode == "basic":
         ex, ey = gradient(e_img)
-        fx, fy = _rescale_force(-ex, -ey)
+        del e_img
+        fx, fy = _rescale_force(np.negative(ex, out=ex), np.negative(ey, out=ey))
         return ExternalFields(force_x=fx, force_y=fy)
     field = compute_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
-    fx, fy = _rescale_force(field.u, field.v)
+    fx, fy = _rescale_force(field.u.copy(), field.v.copy())
     return ExternalFields(force_x=fx, force_y=fy, gvf=field)
 
 
@@ -83,20 +93,44 @@ def resample_closed(points: np.ndarray, n: int) -> np.ndarray:
     return ring[k] + t[:, None] * (ring[k + 1] - ring[k])
 
 
-def system_matrix(n: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Dense gamma I + A for the closed contour's internal-energy operator."""
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    bands = [
+def _system_row(n: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """First row r of the circulant gamma I + A, whose entry (i, j) is r[(j - i) % n].
+
+    Bands that wrap onto the same offset (n < 5) add up in band order.
+    """
+    row = np.zeros(n)
+    for off, coef in (
         (0, gamma + 2.0 * alpha + 6.0 * beta),
         (1, -alpha - 4.0 * beta),
         (-1, -alpha - 4.0 * beta),
         (2, beta),
         (-2, beta),
-    ]
-    for off, coef in bands:
-        m[idx, (idx + off) % n] += coef
-    return m
+    ):
+        row[off % n] += coef
+    return row
+
+
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Dense circulant matrix with entry (i, j) = row[(j - i) % n]."""
+    idx = np.arange(len(row))
+    return row[idx - idx[:, None]]  # j - i > -n, and negative indices wrap
+
+
+def system_matrix(n: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Dense gamma I + A for the closed contour's internal-energy operator."""
+    return _circulant(_system_row(n, alpha, beta, gamma))
+
+
+def system_inverse(n: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Dense (gamma I + A)^-1 in closed form.
+
+    gamma I + A is circulant and symmetric, so its eigenvalues are the real
+    DFT of its first row, gamma + 2 alpha (1 - cos t) + 4 beta (1 - cos t)^2
+    >= gamma > 0, and its inverse is the circulant whose first row is the
+    inverse DFT of their reciprocals.
+    """
+    eig = np.fft.rfft(_system_row(n, alpha, beta, gamma)).real
+    return _circulant(np.fft.irfft(1.0 / eig, n))
 
 
 def evolve_step(
@@ -108,7 +142,7 @@ def evolve_step(
     """One semi-implicit step; the linear system is solved exactly."""
     pts = np.asarray(points, dtype=float)
     if inv_system is None:
-        inv_system = np.linalg.inv(system_matrix(len(pts), cfg.alpha, cfg.beta, cfg.gamma))
+        inv_system = system_inverse(len(pts), cfg.alpha, cfg.beta, cfg.gamma)
     return inv_system @ (cfg.gamma * pts + force)
 
 
@@ -120,22 +154,27 @@ def sample_force(fields: ExternalFields, points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     h, w = fields.force_x.shape
-    x, y = pts[:, 0], pts[:, 1]
-    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xc).astype(int), 0, w - 2) if w > 1 else np.zeros_like(xc, int)
-    y0 = np.clip(np.floor(yc).astype(int), 0, h - 2) if h > 1 else np.zeros_like(yc, int)
-    tx = xc - x0
-    ty = yc - y0
-    sx = 1 - tx
-    sy = 1 - ty
+    c = np.clip(pts, 0.0, (w - 1.0, h - 1.0))
+    kept = c == pts
+    inside = kept[:, 0] & kept[:, 1]
+    # Coordinates in range are used as given: the clip would turn -0.0 into
+    # 0.0, and the sign of a zero weight shows in a zero force.
+    np.copyto(c, pts, where=kept)
+    # c >= 0, so truncation is floor. The upper bound first: a field one pixel
+    # wide or high then gets corner 0 from the lower bound.
+    corner = c.astype(np.intp)
+    np.minimum(corner, (w - 2, h - 2), out=corner)
+    np.maximum(corner, 0, out=corner)
+    t = c - corner
+    s = 1 - t
+    tx, ty = t[:, 0], t[:, 1]
+    sx, sy = s[:, 0], s[:, 1]
     # Flat offsets of the right, lower and diagonal corners. A field one pixel
     # wide or high has no second column or row; those corners reuse i00.
     dx = 1 if w > 1 else 0
     dy = w if h > 1 else 0
     dxy = dx + dy if dx and dy else 0
-    i00 = y0 * w + x0
+    i00 = corner[:, 1] * w + corner[:, 0]
     i01 = i00 + dx
     i10 = i00 + dy
     i11 = i00 + dxy
@@ -263,7 +302,7 @@ def run_snake(
     # Shape reference: the boundary polygon densified by the same resampling,
     # so the Hausdorff term is not dominated by gaps between hull vertices.
     shape_ref = pts.copy()
-    inv_system = np.linalg.inv(system_matrix(n, cfg.alpha, cfg.beta, cfg.gamma))
+    inv_system = system_inverse(n, cfg.alpha, cfg.beta, cfg.gamma)
 
     for it in range(1, cfg.max_iters + 1):
         force = sample_force(fields, pts)
@@ -272,7 +311,10 @@ def run_snake(
         new = evolve_step(pts, force, cfg, inv_system=inv_system)
         np.clip(new[:, 0], 0, w - 1, out=new[:, 0])
         np.clip(new[:, 1], 0, h - 1, out=new[:, 1])
-        disp = float(np.linalg.norm(new - pts, axis=1).max())
+        # sqrt is monotone, so this is the largest point displacement exactly.
+        step = new - pts
+        step *= step
+        disp = math.sqrt((step[:, 0] + step[:, 1]).max())
         pts = new
         if disp < cfg.epsilon:
             break

@@ -547,3 +547,23 @@ def test_synth_and_extract_basic_run_without_scipy(small_scene_dir, tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert len(read_wkts(out / "footprints.wkt")) == 2
+
+
+def test_extract_basic_on_preset_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; the extract path avoids it.
+    scene = tmp_path / "scene"
+    assert main(["synth", "--preset", "quebec-like", "--outdir", str(scene)]) == 0
+    extract = [
+        "extract", "--mode", "basic",
+        "--image", str(scene / "scene.pgm"),
+        "--cloud", str(scene / "cloud.xyz"),
+        "--transform", str(scene / "transform.txt"),
+        "--outdir", str(tmp_path / "out"),
+    ]
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); from buildsnake.cli import main; "
+        f"assert main({extract!r}) == 0; print('numpy.ma' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

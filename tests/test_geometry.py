@@ -292,6 +292,85 @@ def test_rasterize_outside_grid_is_empty():
     assert mask.sum() == 0
 
 
+def reference_rasterize_polygon(polygon, grid: GridSpec) -> np.ndarray:
+    """Row-by-row scanline fill, the crossings of each row sorted and paired.
+
+    The stop of each run is clamped at 0 too: a run wholly left of the grid
+    (right crossing < column 0) would otherwise be a negative slice stop that
+    counts from the row's end and fills most of the row.
+    """
+    pts = np.asarray(polygon, dtype=float)
+    mask = np.zeros((grid.height, grid.width), dtype=bool)
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    nonflat = y1 != y2
+    if not nonflat.any():
+        return mask
+    ex1, ey1, ex2, ey2 = x1[nonflat], y1[nonflat], x2[nonflat], y2[nonflat]
+    cs = grid.cell_size
+    ox = grid.origin[0]
+    for i, yc in enumerate(grid.y_centers()):
+        spans = ((ey1 <= yc) & (yc < ey2)) | ((ey2 <= yc) & (yc < ey1))
+        if not spans.any():
+            continue
+        xc = ex1[spans] + (yc - ey1[spans]) * (ex2[spans] - ex1[spans]) / (ey2[spans] - ey1[spans])
+        xc.sort()
+        for k in range(0, len(xc) - 1, 2):
+            j0 = int(np.ceil((xc[k] - ox) / cs - 0.5))
+            j1 = int(np.ceil((xc[k + 1] - ox) / cs - 0.5))
+            mask[i, max(j0, 0) : max(min(j1, grid.width), 0)] = True
+    return mask
+
+
+def _raster_case(rng, kind):
+    """A grid and a polygon that may self-intersect and leave the grid."""
+    w, h = (1, 1) if kind == "1x1" else rng.integers(1, 40, 2)
+    cs = float(rng.choice([1.0, 0.37, 2.5]))
+    origin = (float(rng.choice([0.0, -3.3, 7.1])), float(rng.choice([0.0, -3.3, 7.1])))
+    grid = GridSpec(origin, cs, int(w), int(h))
+    n = int(rng.integers(3, 15))
+    lo = np.asarray(origin) - 5 * cs
+    span = (np.array([w, h]) + 10) * cs
+    if kind in ("random", "1x1"):
+        poly = lo + rng.uniform(0, 1, (n, 2)) * span
+    elif kind == "centre-rows":
+        # Vertices on pixel-centre rows and columns, or on cell borders.
+        poly = lo + (rng.integers(0, 50, (n, 2)) + rng.choice([0.0, 0.5], (n, 2))) * cs
+    else:
+        # Every other edge horizontal, vertices on half-cell steps.
+        poly = lo + rng.integers(0, 100, (n, 2)) * cs * 0.5
+        poly[1::2, 1] = poly[0:-1:2, 1]
+    return grid, poly
+
+
+@pytest.mark.parametrize("kind", ["random", "centre-rows", "horizontal", "1x1"])
+def test_rasterize_equals_scanline_reference(kind):
+    rng = np.random.default_rng(["random", "centre-rows", "horizontal", "1x1"].index(kind))
+    for _ in range(400):
+        grid, poly = _raster_case(rng, kind)
+        expected = reference_rasterize_polygon(poly, grid)
+        assert rasterize_polygon(poly, grid).tobytes() == expected.tobytes()
+
+
+def test_rasterize_equals_scanline_reference_on_snake_contours():
+    rng = np.random.default_rng(21)
+    grid = GridSpec(origin=(0.0, 0.0), cell_size=1.0, width=300, height=200)
+    for _ in range(5):
+        t = np.sort(rng.uniform(0, 2 * np.pi, 150))
+        r = 60 + rng.normal(0, 8, 150)
+        poly = np.column_stack([150 + r * np.cos(t), 100 + 1.5 * r * np.sin(t)])
+        expected = reference_rasterize_polygon(poly, grid)
+        assert rasterize_polygon(poly, grid).tobytes() == expected.tobytes()
+
+
+def test_rasterize_left_of_grid_is_empty():
+    # Every crossing falls left of column 0.
+    grid = GridSpec(origin=(0.0, 0.0), cell_size=1.0, width=10, height=3)
+    mask = rasterize_polygon(np.array([[-10, 0], [-5, 0], [-5, 3], [-10, 3]], float), grid)
+    assert mask.shape == (3, 10) and mask.dtype == bool
+    assert not mask.any()
+
+
 # ---------------------------------------------------------------------------
 # dominant_angle
 

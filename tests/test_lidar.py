@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from buildsnake.geometry import points_in_polygon
 from buildsnake.lidar import (
     PointCloud3D,
+    _ground_elevations_fallback,
     boundary_points,
     extract_boundaries,
     extract_building_segments,
@@ -51,6 +54,105 @@ def test_parse_xyz_errors():
         parse_xyz("# only comments\n")
     with pytest.raises(ValueError):
         parse_xyz("1 2 3\n1 2 3 4\n")  # inconsistent columns
+
+
+def reference_parse_xyz(text: str) -> PointCloud3D:
+    """Line-by-line parser: str.split per line, float() per coordinate, int() per class."""
+    rows = []
+    classes = []
+    has_class = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) not in (3, 4):
+            raise ValueError(f"line {lineno}: expected 'x y z [class]', got {line!r}")
+        if has_class is None:
+            has_class = len(parts) == 4
+        elif has_class != (len(parts) == 4):
+            raise ValueError(f"line {lineno}: inconsistent column count")
+        rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
+        if has_class:
+            classes.append(int(parts[3]))
+    if not rows:
+        raise ValueError("point cloud file contains no points")
+    return PointCloud3D(np.asarray(rows), np.asarray(classes) if has_class else None)
+
+
+def _assert_same_cloud(a: PointCloud3D, b: PointCloud3D):
+    assert a.xyz.tobytes() == b.xyz.tobytes() and a.xyz.shape == b.xyz.shape
+    assert (a.classes is None) == (b.classes is None)
+    if a.classes is not None:
+        assert a.classes.dtype == b.classes.dtype
+        assert a.classes.tobytes() == b.classes.tobytes()
+
+
+PARSE_CASES = [
+    "# header\n1.0 2.0 3.0 2\n4 5 6 6  # trailing comment\n",
+    "\n\n# a\n   \n1 2 3\n\t\n# b\n-4.5e3 +.5 6e-310\n#\n",
+    "1 2 3 2\r\n4 5 6 6\r\n\r\n# c\r\n7 8 9 2",
+    "1 2 3\r4 5 6\r",
+    "1\t2\t3\t6\n  4   5   6   +2  \n7 8 9 0003#x\n",
+    "0.1 0.2 0.30000000000000004\n1e308 -1e-308 2.2250738585072014e-308\n",
+    "1 2 3 -1\n4 5 6 9223372036854775807\n",
+    "1 2 3",
+]
+
+
+@pytest.mark.parametrize("text", PARSE_CASES)
+def test_parse_xyz_equals_reference(text):
+    _assert_same_cloud(parse_xyz(text), reference_parse_xyz(text))
+
+
+def test_parse_xyz_equals_reference_on_random_clouds():
+    rng = np.random.default_rng(4)
+    xyz = rng.uniform(-1e4, 1e4, (500, 3)) * rng.choice([1e-9, 1.0, 1e6], (500, 3))
+    for classes in (None, rng.integers(0, 20, 500)):
+        text = write_xyz(PointCloud3D(xyz, classes))
+        cloud = parse_xyz(text)
+        _assert_same_cloud(cloud, reference_parse_xyz(text))
+        assert cloud.xyz.flags.c_contiguous
+        assert np.array_equal(cloud.xyz, xyz)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# h\n1 2 3\n\n1 2 3 4\n", "line 4: inconsistent column count"),
+        ("1 2 3 2\n# x\n4 5 6\n", "line 3: inconsistent column count"),
+        ("1 2 3\n1 2\n", "line 2: expected 'x y z \\[class\\]'"),
+        ("# h\n1 2 3 4 5\n", "line 2: expected 'x y z \\[class\\]'"),
+    ],
+)
+def test_parse_xyz_column_errors_equal_reference(text, message):
+    for parse in (parse_xyz, reference_parse_xyz):
+        with pytest.raises(ValueError, match=message):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2 3 2\n4 5 6 2.5\n", "invalid literal for int"),
+        ("1 2 3 2.0\n", "invalid literal for int"),
+        ("1 2 3\n4 abc 6\n", "could not convert string to float"),
+    ],
+)
+def test_parse_xyz_value_errors_name_their_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        reference_parse_xyz(text)
+    lineno = len(text.rstrip("\n").splitlines())
+    with pytest.raises(ValueError, match=f"line {lineno}: {message}"):
+        parse_xyz(text)
+
+
+@pytest.mark.parametrize("text", ["", "# only comments\n", "\n  \n# a\r\n#b"])
+def test_parse_xyz_without_points_raises_without_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="contains no points"):
+            parse_xyz(text)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +206,21 @@ def test_fallback_decile_without_classes():
     cloud = PointCloud3D(np.vstack([ground, tower]))
     low, high = separate_ground(cloud)
     assert len(high) == 50
+
+
+def test_fallback_elevations_equal_unique_reference():
+    rng = np.random.default_rng(10)
+    cloud = PointCloud3D(rng.uniform(0, 95, (3000, 3)) * np.array([1, 0.6, 0.1]))
+    xyz = cloud.xyz
+    col = np.floor((xyz[:, 0] - xyz[:, 0].min()) / 10.0).astype(int)
+    row = np.floor((xyz[:, 1] - xyz[:, 1].min()) / 10.0).astype(int)
+    key = row * (col.max() + 1) + col
+    expected = []
+    for k in np.unique(key):
+        z = np.sort(xyz[key == k, 2])
+        expected.append(z[: max(1, int(np.ceil(0.1 * len(z))))])
+    got = _ground_elevations_fallback(cloud, 10.0)
+    assert got.tobytes() == np.concatenate(expected).tobytes()
 
 
 def test_missing_ground_class_is_error():

@@ -6,15 +6,19 @@ import pytest
 from buildsnake import snake as snake_module
 from buildsnake.cli import extract_buildings
 from buildsnake.config import SnakeConfig
+from buildsnake.energy import compute_gvf, image_energy
 from buildsnake.geometry import GridSpec, polygon_perimeter, rasterize_polygon
+from buildsnake.raster import gradient
 from buildsnake.snake import (
     ExternalFields,
+    prepare_fields,
     evolve_step,
     resample_closed,
     run_snake,
     sample_force,
     shape_force,
     shape_sim_energy,
+    system_inverse,
     system_matrix,
 )
 
@@ -342,6 +346,38 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
         assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
 
 
+def reference_prepare_fields(gray, cfg):
+    """Force field as negated and divided copies of the gradient or GVF field."""
+    e_img = image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
+    if cfg.mode == "basic":
+        ex, ey = gradient(e_img)
+        fx, fy = -ex, -ey
+    else:
+        field = compute_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
+        fx, fy = field.u, field.v
+    peak = float(np.hypot(fx, fy).max())
+    if peak > 0:
+        fx, fy = fx / peak, fy / peak
+    return fx, fy
+
+
+@pytest.mark.parametrize("mode", ["basic", "gvf"])
+@pytest.mark.parametrize("case", ["random", "constant"])
+def test_prepare_fields_equals_reference(mode, case):
+    rng = np.random.default_rng(3)
+    gray = rng.uniform(0, 255, (30, 41)) if case == "random" else np.full((12, 10), 40.0)
+    cfg = SnakeConfig(mode=mode, sigma=2.0, gvf_iters=15)
+    fields = prepare_fields(gray, cfg)
+    fx, fy = reference_prepare_fields(gray, cfg)
+    assert fields.force_x.tobytes() == fx.tobytes()
+    assert fields.force_y.tobytes() == fy.tobytes()
+    if mode == "gvf":
+        # The rescale leaves the solved field itself untouched.
+        solved = compute_gvf(image_energy(gray, sigma=2.0), mu=cfg.mu, iters=15)
+        assert fields.gvf.u.tobytes() == solved.u.tobytes()
+        assert fields.gvf.v.tobytes() == solved.v.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # evolve_step
 
@@ -378,6 +414,59 @@ def test_evolve_linear_system_residual():
     m = system_matrix(40, cfg.alpha, cfg.beta, cfg.gamma)
     resid = m @ new - (cfg.gamma * pts + force)
     assert np.abs(resid).max() <= 1e-8
+
+
+def reference_system_matrix(n, alpha, beta, gamma):
+    """Band-by-band build of gamma I + A; wrapped bands add up for n < 5."""
+    m = np.zeros((n, n))
+    idx = np.arange(n)
+    bands = [
+        (0, gamma + 2.0 * alpha + 6.0 * beta),
+        (1, -alpha - 4.0 * beta),
+        (-1, -alpha - 4.0 * beta),
+        (2, beta),
+        (-2, beta),
+    ]
+    for off, coef in bands:
+        m[idx, (idx + off) % n] += coef
+    return m
+
+
+SYSTEM_PARAMS = [(0.01, 0.01, 1.0), (0.0, 0.0, 1.0), (0.5, 0.3, 0.2), (2.0, 5.0, 3.0)]
+
+
+@pytest.mark.parametrize("params", SYSTEM_PARAMS)
+def test_system_matrix_equals_band_reference(params):
+    for n in range(1, 13):
+        assert system_matrix(n, *params).tobytes() == reference_system_matrix(n, *params).tobytes()
+
+
+def test_system_inverse_equals_dense_inverse_for_every_size():
+    for n in range(1, 601):
+        m = system_matrix(n, 0.01, 0.01, 1.0)
+        inv = system_inverse(n, 0.01, 0.01, 1.0)
+        assert np.abs(inv - np.linalg.inv(m)).max() <= 1e-12, n
+        assert np.abs(m @ inv - np.eye(n)).max() <= 1e-12, n
+
+
+@pytest.mark.parametrize("params", SYSTEM_PARAMS[1:])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 32, 151, 600])
+def test_system_inverse_equals_dense_inverse_for_other_weights(n, params):
+    m = system_matrix(n, *params)
+    inv = system_inverse(n, *params)
+    # The inverse scales as 1 / gamma; compare relative to its largest entry.
+    scale = np.abs(inv).max()
+    assert np.abs(inv - np.linalg.inv(m)).max() <= 1e-12 * scale
+    assert np.abs(m @ inv - np.eye(n)).max() <= 1e-12
+
+
+def test_evolve_step_default_inverse_is_the_closed_form():
+    cfg = SnakeConfig()
+    rng = np.random.default_rng(5)
+    pts = circle(45) + rng.normal(0, 0.5, (45, 2))
+    force = rng.normal(0, 1.0, (45, 2))
+    inv = system_inverse(45, cfg.alpha, cfg.beta, cfg.gamma)
+    assert evolve_step(pts, force, cfg).tobytes() == evolve_step(pts, force, cfg, inv).tobytes()
 
 
 # ---------------------------------------------------------------------------
