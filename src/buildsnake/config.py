@@ -46,8 +46,9 @@ class SnakeConfig:
                 if isinstance(value, bool) or not integral:
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
                 setattr(self, f.name, int(value))
-            elif isinstance(value, float) and math.isnan(value):
-                raise ValueError(f"{f.name} must be a number, got nan")
+            elif isinstance(value, float) and not math.isfinite(value):
+                need = "a number" if math.isnan(value) else "finite"
+                raise ValueError(f"{f.name} must be {need}, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.gamma <= 0:
@@ -72,7 +73,7 @@ class SnakeConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         density = self.density
-        if density is not None and not (isinstance(density, (int, float)) and 0 < density < math.inf):
+        if density is not None and not (isinstance(density, (int, float)) and density > 0):
             raise ValueError(f"density must be a positive number, got {density!r}")
 
     @classmethod

@@ -115,9 +115,19 @@ def compute_gvf(
     strip of rows at a time, from the kept old value of the row above the
     strip; every pixel gets the same floating-point operations in the same
     order as in a whole-image step, so the field is the same bit for bit.
+
+    Within a strip, up + down is one add of the rows above and below each
+    inner row, plus one row add each for the strip's first and last rows (or
+    a single add of the row above and the row below for a strip one row high).
+    Left and right are added as shifts along each field's flat strip, so a
+    row's first column first takes the previous row's last value; that column
+    is redone from its saved up + down sum plus its own (edge-replicated)
+    value, and the last column likewise around the right shift. Once a step's
+    residual reaches the tolerance, that step cannot stop, so the rest of its
+    strips skip the max-abs reduction.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be a positive finite number, got {mu!r}")
     f = -np.asarray(e_img, dtype=float)
     if not np.isfinite(f).all():
         raise ValueError("e_img must be finite")
@@ -134,8 +144,12 @@ def compute_gvf(
 
     h, w = g.shape
     rows = max(1, STRIP_ELEMS // w)
-    lap = np.empty((2, rows, w))
-    tmp = np.empty((2, rows, w))
+    flat_uv = w_uv.reshape(2, h * w)  # (2, H*W) views; a strip is a slice of these
+    flat_f = f_xy.reshape(2, h * w)
+    flat_g = g.reshape(h * w)
+    lap = np.empty((2, rows * w))
+    tmp = np.empty((2, rows * w))
+    edge = np.empty((2, rows))  # a strip's first or last column, saved
     prev = np.empty((2, w))  # old value of the row above the current strip
     done = 0
     for done in range(1, iters + 1):
@@ -143,28 +157,40 @@ def compute_gvf(
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             n = r1 - r0
-            s = w_uv[:, r0:r1]
-            a = lap[:, :n]
-            b = tmp[:, :n]
+            s = flat_uv[:, r0 * w : r1 * w]
+            a = lap[:, : n * w]
+            b = tmp[:, : n * w]
+            s3 = s.reshape(2, n, w)
+            a3 = a.reshape(2, n, w)
+            col = edge[:, :n]
             # up + down, edge-replicated at the top and bottom rows
-            a[:, 0] = prev if r0 > 0 else s[:, 0]
-            a[:, 1:] = s[:, :-1]
+            up = prev if r0 > 0 else s3[:, 0]
+            down = w_uv[:, min(r1, h - 1)]
+            if n == 1:
+                np.add(up, down, out=a3[:, 0])
+            else:
+                np.add(up, s3[:, 1], out=a3[:, 0])
+                np.add(s3[:, :-2], s3[:, 2:], out=a3[:, 1:-1])
+                np.add(s3[:, -2], down, out=a3[:, -1])
+            # + left, + right as shifts along the flat strip; the first and
+            # last columns, which took a value from the next row over, are
+            # redone from their saved sums, edge-replicated
+            np.copyto(col, a3[:, :, 0])
+            a[:, 1:] += s[:, :-1]
+            np.add(col, s3[:, :, 0], out=a3[:, :, 0])
+            np.copyto(col, a3[:, :, -1])
             a[:, :-1] += s[:, 1:]
-            a[:, -1] += w_uv[:, min(r1, h - 1)]
-            # + left, + right, edge-replicated at the first and last columns
-            a[:, :, 1:] += s[:, :, :-1]
-            a[:, :, 0] += s[:, :, 0]
-            a[:, :, :-1] += s[:, :, 1:]
-            a[:, :, -1] += s[:, :, -1]
+            np.add(col, s3[:, :, -1], out=a3[:, :, -1])
             np.multiply(s, 4.0, out=b)
             a -= b
             # r = mu lap - (w - f) g
             a *= mu
-            np.subtract(s, f_xy[:, r0:r1], out=b)
-            b *= g[r0:r1]
+            np.subtract(s, flat_f[:, r0 * w : r1 * w], out=b)
+            b *= flat_g[r0 * w : r1 * w]
             a -= b
-            r_max = max(r_max, float(a.max()), -float(a.min()))
-            prev[...] = s[:, -1]
+            if r_max < tol:
+                r_max = max(r_max, float(a.max()), -float(a.min()))
+            prev[...] = s3[:, -1]
             a *= dt
             s += a
         if r_max < tol:

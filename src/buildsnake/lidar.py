@@ -127,10 +127,13 @@ def _ground_elevations_fallback(cloud: PointCloud3D, tile: float = 10.0) -> np.n
     col = np.floor((xyz[:, 0] - xyz[:, 0].min()) / tile).astype(int)
     row = np.floor((xyz[:, 1] - xyz[:, 1].min()) / tile).astype(int)
     key = row * (col.max() + 1) + col
-    key_sorted = np.sort(key)
+    # A stable sort keeps each tile's points in cloud order, as a mask would.
+    order = np.argsort(key, kind="stable")
+    key_sorted = key[order]
+    starts = np.flatnonzero(key_sorted[1:] != key_sorted[:-1]) + 1
     samples = []
-    for k in key_sorted[np.concatenate(([True], key_sorted[1:] != key_sorted[:-1]))]:
-        z = np.sort(xyz[key == k, 2])
+    for z in np.split(xyz[order, 2], starts):
+        z = np.sort(z)
         take = max(1, int(np.ceil(0.1 * len(z))))
         samples.append(z[:take])
     return np.concatenate(samples)

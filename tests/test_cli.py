@@ -286,7 +286,8 @@ def test_extract_bad_config_value_exits_2(small_scene_dir, tmp_path):
     ]
     # argparse itself rejects a non-integer integer flag, so these come from JSON only.
     + [("config", "max_iters", 2.5), ("config", "ground_class", 2.5)]
-    + [("flag", "sym_diff_tol", -1), ("flag", "min_segment_area_m2", "nan")],
+    + [("flag", "sym_diff_tol", -1), ("flag", "min_segment_area_m2", "nan")]
+    + [("flag", "mu", "inf"), ("flag", "sigma", "inf")],
 )
 def test_extract_invalid_pipeline_value_exits_2(small_scene_dir, tmp_path, capsys, source, key, value):
     argv = [

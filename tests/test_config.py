@@ -37,6 +37,13 @@ def test_nan_float_value_raises(key):
         SnakeConfig(**{key: float("nan")})
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_infinite_float_value_raises(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
+        SnakeConfig(**{key: value})
+
+
 def test_integral_float_is_stored_as_int():
     cfg = SnakeConfig.from_dict({"max_iters": 40.0, "connectivity": 4.0, "ground_class": 6.0})
     assert (cfg.max_iters, cfg.connectivity, cfg.ground_class) == (40, 4, 6)

@@ -156,6 +156,13 @@ def test_gvf_rejects_bad_mu():
         compute_gvf(np.zeros((8, 8)), mu=0.0, iters=10)
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.2, np.nan, np.inf, -np.inf])
+def test_gvf_rejects_non_positive_or_non_finite_mu(mu):
+    # A NaN mu would give an all-NaN field that the stop test reads as converged.
+    with pytest.raises(ValueError, match="mu must be a positive finite number"):
+        compute_gvf(np.zeros((8, 8)), mu=mu, iters=10)
+
+
 def reference_image_energy_terms(gray, sigma):
     """The energy terms as whole-image expressions, one temporary per operation."""
     c = gaussian_smooth(gray, sigma)
@@ -219,7 +226,9 @@ def assert_gvf_matches_reference(e_img, **kwargs):
 
 
 # (H, W): the smallest fields, one strip per row (W > STRIP_ELEMS), H not a
-# multiple of the strip height, a single strip, and a tall narrow field.
+# multiple of the strip height, a single strip, a tall narrow field, a last
+# strip one row high under 16-row strips, strips two rows high, and one row per
+# strip at W == STRIP_ELEMS.
 GVF_ORACLE_SHAPES = [
     (3, 3),
     (3, 41),
@@ -228,6 +237,9 @@ GVF_ORACLE_SHAPES = [
     (37, 1000),
     (23, 29),
     (1500, 16),
+    (33, 1000),
+    (5, 8192),
+    (3, STRIP_ELEMS),
 ]
 
 
@@ -243,6 +255,17 @@ def test_gvf_equals_reference_at_early_stop():
     # A large residual factor makes the stop test fire well before the cap.
     e_img = blurred_step(size=40) + np.random.default_rng(4).normal(0.0, 0.5, (40, 40))
     field = assert_gvf_matches_reference(e_img, mu=0.2, iters=400, residual_factor=0.05)
+    assert 1 < field.iters < 400
+
+
+def test_gvf_equals_reference_at_early_stop_with_flat_top_strips():
+    # Rows 0-19 are flat, so in the first steps the top strip's residual is
+    # below the tolerance while the textured strips below it are above: the
+    # stop test must still read every strip until one reaches the tolerance.
+    e_img = np.zeros((40, 1000))
+    e_img[20:] = np.random.default_rng(5).normal(0.0, 0.5, (20, 1000))
+    assert STRIP_ELEMS // 1000 < 20
+    field = assert_gvf_matches_reference(e_img, mu=0.2, iters=400, residual_factor=0.02)
     assert 1 < field.iters < 400
 
 

@@ -208,19 +208,43 @@ def test_fallback_decile_without_classes():
     assert len(high) == 50
 
 
+def reference_ground_elevations_fallback(cloud, tile):
+    """The fallback as one whole-cloud mask per tile, in ascending key order."""
+    xyz = cloud.xyz
+    col = np.floor((xyz[:, 0] - xyz[:, 0].min()) / tile).astype(int)
+    row = np.floor((xyz[:, 1] - xyz[:, 1].min()) / tile).astype(int)
+    key = row * (col.max() + 1) + col
+    samples = []
+    for k in np.unique(key):
+        z = np.sort(xyz[key == k, 2])
+        samples.append(z[: max(1, int(np.ceil(0.1 * len(z))))])
+    return np.concatenate(samples)
+
+
 def test_fallback_elevations_equal_unique_reference():
     rng = np.random.default_rng(10)
     cloud = PointCloud3D(rng.uniform(0, 95, (3000, 3)) * np.array([1, 0.6, 0.1]))
-    xyz = cloud.xyz
-    col = np.floor((xyz[:, 0] - xyz[:, 0].min()) / 10.0).astype(int)
-    row = np.floor((xyz[:, 1] - xyz[:, 1].min()) / 10.0).astype(int)
-    key = row * (col.max() + 1) + col
-    expected = []
-    for k in np.unique(key):
-        z = np.sort(xyz[key == k, 2])
-        expected.append(z[: max(1, int(np.ceil(0.1 * len(z))))])
     got = _ground_elevations_fallback(cloud, 10.0)
-    assert got.tobytes() == np.concatenate(expected).tobytes()
+    assert got.tobytes() == reference_ground_elevations_fallback(cloud, 10.0).tobytes()
+
+
+@pytest.mark.parametrize("case", ["random-small", "one-tile", "one-point-per-tile", "tiled"])
+def test_fallback_elevations_equal_mask_reference(case, quebec_scene):
+    rng = np.random.default_rng(11)
+    if case == "random-small":
+        cloud = PointCloud3D(rng.uniform(0, 40, (7, 3)))
+    elif case == "one-tile":
+        cloud = PointCloud3D(rng.uniform(0, 9.5, (500, 3)))
+    elif case == "one-point-per-tile":
+        xy = np.stack(np.meshgrid(np.arange(12.0), np.arange(7.0)), -1).reshape(-1, 2) * 10.0 + 3.0
+        cloud = PointCloud3D(np.column_stack([rng.permutation(xy), rng.uniform(0, 5, len(xy))]))
+    else:  # a 3 x 3 tiling of the preset cloud at a 512 px pitch, classes dropped
+        spec, _, preset, _, _ = quebec_scene
+        pitch = 512 * spec.resolution
+        offsets = [(c * pitch, r * pitch, 0.0) for r in range(3) for c in range(3)]
+        cloud = PointCloud3D(np.vstack([preset.xyz + off for off in offsets]))
+    got = _ground_elevations_fallback(cloud, 10.0)
+    assert got.tobytes() == reference_ground_elevations_fallback(cloud, 10.0).tobytes()
 
 
 def test_missing_ground_class_is_error():
