@@ -8,7 +8,7 @@ evaluated with pixel-based metrics.
 from .config import SnakeConfig
 from .energy import GvfField, compute_gvf, image_energy
 from .geometry import GridSpec, OrientedRect
-from .lidar import PointCloud3D, ProjectedBoundary
+from .lidar import PointCloud3D
 from .polygonize import BuildingPolygon, fit_rectilinear
 from .snake import run_snake, shape_force, shape_sim_energy
 from .synthetic import SceneSpec, generate_scene
@@ -23,7 +23,6 @@ __all__ = [
     "GvfField",
     "OrientedRect",
     "PointCloud3D",
-    "ProjectedBoundary",
     "SceneSpec",
     "SnakeConfig",
     "compute_gvf",

@@ -53,17 +53,10 @@ def extract_buildings(
     debug: dict | None = None,
 ) -> list[ExtractedBuilding]:
     """Run the full LiDAR -> snake -> polygonize pipeline on one scene."""
-    density = cfg.density
-    if density is None:
-        xy = cloud.xyz[:, :2]
-        extent = np.prod(xy.max(axis=0) - xy.min(axis=0))
-        if extent <= 0:
-            raise StageError("[lidar] cloud has zero planar extent")
-        density = len(cloud) / float(extent)
     try:
-        boundaries, grid, labels = lidar.extract_boundaries(
+        hulls, cells, labels = lidar.extract_boundaries(
             cloud,
-            density=density,
+            density=cfg.density,
             ground_class=cfg.ground_class,
             opening_radius=cfg.opening_radius,
             min_area_m2=cfg.min_segment_area_m2,
@@ -72,21 +65,20 @@ def extract_buildings(
     except ValueError as exc:
         raise StageError(f"[lidar] {exc}") from exc
     if debug is not None:
-        debug["grid"] = grid
+        debug["cells"] = cells
         debug["labels"] = labels
-    if not boundaries:
+    if not hulls:
         return []
-
-    fields = prepare_fields(gray, cfg)
-    if debug is not None:
-        debug["fields"] = fields
-    projected = [lidar.project_boundary(b, t) for b in boundaries]
 
     results = []
     try:
-        for pb in projected:
-            contour = run_snake(pb, gray, cfg, fields=fields)
-            mbr = building_mbr(pb.pixels)
+        fields = prepare_fields(gray, cfg)
+        if debug is not None:
+            debug["fields"] = fields
+        for building_id, hull in hulls:
+            init = t.apply(hull)
+            contour = run_snake(init, gray, cfg, fields=fields)
+            mbr = building_mbr(init)
             try:
                 poly = fit_rectilinear(contour, mbr, sym_diff_tol=cfg.sym_diff_tol)
                 footprint, level, orientation = poly.polygon, poly.shape_level, poly.orientation_deg
@@ -94,12 +86,12 @@ def extract_buildings(
                 # Collapsed snake (degenerate sliver segment): fall back to the
                 # boundary MBR so one bad building does not abort the run.
                 print(
-                    f"warning: building {pb.building_id}: snake degenerate, using boundary MBR",
+                    f"warning: building {building_id}: snake degenerate, using boundary MBR",
                     file=sys.stderr,
                 )
                 footprint, level, orientation = mbr.corners(), "rectangle", mbr.angle_deg
             results.append(ExtractedBuilding(
-                building_id=pb.building_id, init_pixels=pb.pixels, snake=contour,
+                building_id=building_id, init_pixels=init, snake=contour,
                 footprint=footprint, shape_level=level, orientation_deg=orientation,
             ))
     except ValueError as exc:
@@ -222,8 +214,8 @@ def cmd_extract(args) -> int:
     if debug is not None:
         ddir = Path(args.debug_dir)
         ddir.mkdir(parents=True, exist_ok=True)
-        if debug.get("grid") is not None:
-            (ddir / "binary_grid.pgm").write_bytes(raster.save_pgm(debug["grid"].cells * 255.0))
+        if debug.get("cells") is not None:
+            (ddir / "binary_grid.pgm").write_bytes(raster.save_pgm(debug["cells"] * 255.0))
         if debug.get("labels") is not None:
             labels = debug["labels"]
             scale = 255.0 / max(labels.max(), 1)

@@ -46,9 +46,11 @@ class SnakeConfig:
                 if isinstance(value, bool) or not integral:
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
                 setattr(self, f.name, int(value))
-            elif isinstance(value, float) and not math.isfinite(value):
-                need = "a number" if math.isnan(value) else "finite"
-                raise ValueError(f"{f.name} must be {need}, got {value!r}")
+            elif isinstance(f.default, float) or f.default is None and value is not None:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.gamma <= 0:
@@ -72,9 +74,8 @@ class SnakeConfig:
         for name in ("sym_diff_tol", "min_segment_area_m2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        density = self.density
-        if density is not None and not (isinstance(density, (int, float)) and density > 0):
-            raise ValueError(f"density must be a positive number, got {density!r}")
+        if self.density is not None and self.density <= 0:
+            raise ValueError(f"density must be a positive number, got {self.density!r}")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

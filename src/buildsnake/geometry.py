@@ -48,6 +48,13 @@ class GridSpec:
     def y_centers(self) -> np.ndarray:
         return self.origin[1] + (np.arange(self.height) + 0.5) * self.cell_size
 
+    def cell_index(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map (N, 2) coordinates to (row, col) cell indices (unclipped)."""
+        xy = np.asarray(xy, dtype=float)
+        col = np.floor((xy[:, 0] - self.origin[0]) / self.cell_size).astype(int)
+        row = np.floor((xy[:, 1] - self.origin[1]) / self.cell_size).astype(int)
+        return row, col
+
 
 @dataclass(frozen=True)
 class OrientedRect:

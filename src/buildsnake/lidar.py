@@ -1,8 +1,8 @@
 """Per-building boundary extraction from an airborne LiDAR point cloud.
 
 Stages: ground separation by elevation threshold, vertical projection to an
-occupancy grid, opening + labeling + area filter, per-segment point selection,
-planar convex-hull boundaries and their projection into image coordinates.
+occupancy grid, opening + labeling + area filter, per-segment point selection
+and each segment's planar convex hull in xy.
 """
 from __future__ import annotations
 
@@ -10,14 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import convex_hull_indices
-from .raster import BinaryGrid, connected_components, morphological_open
-from .transform import AffineTransform2D
+from .geometry import GridSpec, convex_hull_indices
+from .raster import connected_components, morphological_open
 
 __all__ = [
     "PointCloud3D",
-    "BuildingBoundary3D",
-    "ProjectedBoundary",
     "parse_xyz",
     "write_xyz",
     "separate_ground",
@@ -25,7 +22,7 @@ __all__ = [
     "extract_building_segments",
     "select_building_points",
     "boundary_points",
-    "project_boundary",
+    "extract_boundaries",
 ]
 
 GROUND_CLASS = 2
@@ -53,22 +50,6 @@ class PointCloud3D:
     def subset(self, mask) -> "PointCloud3D":
         cls = self.classes[mask] if self.classes is not None else None
         return PointCloud3D(self.xyz[mask], cls)
-
-
-@dataclass
-class BuildingBoundary3D:
-    """Planar convex-hull boundary of one building; z carried per vertex."""
-
-    building_id: int
-    boundary: np.ndarray  # (M, 3)
-
-
-@dataclass
-class ProjectedBoundary:
-    """Boundary vertices mapped into image pixel coordinates."""
-
-    building_id: int
-    pixels: np.ndarray  # (M, 2)
 
 
 def parse_xyz(text: str) -> PointCloud3D:
@@ -163,8 +144,8 @@ def separate_ground(
     return cloud.subset(~above), cloud.subset(above)
 
 
-def project_to_grid(nonground: PointCloud3D, density: float) -> BinaryGrid:
-    """Occupancy grid of vertically projected points.
+def project_to_grid(nonground: PointCloud3D, density: float) -> tuple[GridSpec, np.ndarray]:
+    """The grid frame and the (H, W) bool occupancy of vertically projected points.
 
     cell_size = sqrt(2 / density): a roof cell holds two points in expectation
     and is empty with probability e^-2, so about 13.5 % of roof cells are holes.
@@ -178,24 +159,25 @@ def project_to_grid(nonground: PointCloud3D, density: float) -> BinaryGrid:
     origin = (float(xy[:, 0].min()), float(xy[:, 1].min()))
     width = int(np.floor((xy[:, 0].max() - origin[0]) / cell)) + 1
     height = int(np.floor((xy[:, 1].max() - origin[1]) / cell)) + 1
-    grid = BinaryGrid(np.zeros((height, width), dtype=bool), cell, origin)
-    row, col = grid.cell_index(xy)
-    grid.cells[row, col] = True
-    return grid
+    grid = GridSpec(origin, cell, width, height)
+    cells = np.zeros((height, width), dtype=bool)
+    cells[grid.cell_index(xy)] = True
+    return grid, cells
 
 
 def extract_building_segments(
-    grid: BinaryGrid,
+    cells: np.ndarray,
+    cell_size: float,
     opening_radius: int = 1,
     min_area_m2: float = 10.0,
     connectivity: int = 8,
 ) -> tuple[np.ndarray, int]:
     """Opened, labeled segments with small ones removed; labels compacted."""
-    opened = morphological_open(grid, radius=opening_radius)
+    opened = morphological_open(cells, radius=opening_radius)
     labels, count = connected_components(opened, connectivity=connectivity)
     if count == 0:
         return labels, 0
-    cell_area = grid.cell_size**2
+    cell_area = cell_size**2
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     keep = np.flatnonzero(sizes[1:] * cell_area >= min_area_m2) + 1
     remap = np.zeros(count + 1, dtype=labels.dtype)
@@ -204,10 +186,10 @@ def extract_building_segments(
 
 
 def select_building_points(
-    cloud: PointCloud3D, grid: BinaryGrid, labels: np.ndarray
+    cloud: PointCloud3D, grid: GridSpec, labels: np.ndarray
 ) -> dict[int, PointCloud3D]:
     """Assign each point to the labeled segment of its containing cell."""
-    if labels.shape != grid.cells.shape:
+    if labels.shape != (grid.height, grid.width):
         raise ValueError("label grid does not match the projection grid")
     row, col = grid.cell_index(cloud.xyz[:, :2])
     inside = (row >= 0) & (row < grid.height) & (col >= 0) & (col < grid.width)
@@ -220,50 +202,52 @@ def select_building_points(
     }
 
 
-def boundary_points(points: PointCloud3D, building_id: int = 0) -> BuildingBoundary3D:
-    """Convex hull of the xy projection; hull vertices keep their z."""
+def boundary_points(points: PointCloud3D) -> np.ndarray:
+    """Convex hull of the xy projection, (M, 2) counter-clockwise."""
     if len(points) < 3:
         raise ValueError("need at least 3 points for a boundary")
-    idx = convex_hull_indices(points.xyz[:, :2])
-    return BuildingBoundary3D(building_id=building_id, boundary=points.xyz[idx])
-
-
-def project_boundary(b: BuildingBoundary3D, t: AffineTransform2D) -> ProjectedBoundary:
-    """Apply the registration transform to boundary xy; z is dropped."""
-    return ProjectedBoundary(building_id=b.building_id, pixels=t.apply(b.boundary[:, :2]))
+    xy = points.xyz[:, :2]
+    return xy[convex_hull_indices(xy)]
 
 
 def extract_boundaries(
     cloud: PointCloud3D,
-    density: float,
+    density: float | None = None,
     ground_class: int = GROUND_CLASS,
     opening_radius: int = 1,
     min_area_m2: float = 10.0,
     connectivity: int = 8,
-) -> tuple[list[BuildingBoundary3D], BinaryGrid | None, np.ndarray | None]:
-    """Full LiDAR stage: per-building 3D boundaries plus debug rasters.
+) -> tuple[list[tuple[int, np.ndarray]], np.ndarray | None, np.ndarray | None]:
+    """Full LiDAR stage: ([(building_id, hull_xy), ...], cells, labels).
 
-    Returns ([], None, None) when there are no non-ground points, and
-    ([], grid, labels) when no segment passes the area filter.
+    Hulls come in building-id order. `density` (points/m²) defaults to the
+    whole cloud's count over its planar bounding-box area, taken before
+    ground separation. Returns ([], None, None) when there are no
+    non-ground points, and ([], cells, labels) when no segment passes the
+    area filter; segments whose points are collinear are skipped.
     """
+    if density is None:
+        xy = cloud.xyz[:, :2]
+        extent = np.prod(xy.max(axis=0) - xy.min(axis=0))
+        if extent <= 0:
+            raise ValueError("cloud has zero planar extent")
+        density = len(cloud) / float(extent)
     _, nonground = separate_ground(cloud, ground_class=ground_class)
     if len(nonground) == 0:
         return [], None, None
-    grid = project_to_grid(nonground, density)
-    labels, count = extract_building_segments(
-        grid,
+    grid, cells = project_to_grid(nonground, density)
+    labels, _ = extract_building_segments(
+        cells,
+        grid.cell_size,
         opening_radius=opening_radius,
         min_area_m2=min_area_m2,
         connectivity=connectivity,
     )
     buildings = select_building_points(nonground, grid, labels)
-    boundaries = []
+    hulls = []
     for bid in sorted(buildings):
-        pts = buildings[bid]
-        if len(pts) < 3:
-            continue
         try:
-            boundaries.append(boundary_points(pts, building_id=bid))
+            hulls.append((bid, boundary_points(buildings[bid])))
         except ValueError:
-            continue  # collinear support, cannot form a boundary
-    return boundaries, grid, labels
+            continue  # fewer than 3 points, or collinear: no boundary
+    return hulls, cells, labels

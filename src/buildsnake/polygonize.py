@@ -34,10 +34,9 @@ class BuildingPolygon:
     orientation_deg: float
 
 
-def building_mbr(init) -> OrientedRect:
-    """Minimum bounding rectangle of the projected LiDAR boundary points."""
-    pts = np.asarray(getattr(init, "pixels", init), dtype=float)
-    return min_area_rect(pts)
+def building_mbr(init: np.ndarray) -> OrientedRect:
+    """Minimum bounding rectangle of the (M, 2) projected LiDAR boundary points."""
+    return min_area_rect(init)
 
 
 def _largest_rectangle(mask: np.ndarray) -> tuple[int, int, int, int, int]:

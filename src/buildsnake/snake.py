@@ -278,18 +278,18 @@ def shape_force(
 
 
 def run_snake(
-    init,
+    init: np.ndarray,
     gray: np.ndarray,
     cfg: SnakeConfig,
     fields: ExternalFields | None = None,
 ) -> np.ndarray:
     """Evolve a snake from the projected boundary until convergence.
 
-    `init` is a ProjectedBoundary or plain (M, 2) pixel array; it provides
-    both the initial contour and the shape-similarity reference in
-    proposed mode. Returns the final closed contour as (N, 2) pixels.
+    `init` is the (M, 2) pixel array of the boundary; it provides both the
+    initial contour and the shape-similarity reference in proposed mode.
+    Returns the final closed contour as (N, 2) pixels.
     """
-    boundary = np.asarray(getattr(init, "pixels", init), dtype=float)
+    boundary = np.asarray(init, dtype=float)
     if len(boundary) < 3:
         raise ValueError("initial boundary needs at least 3 points")
     if fields is None:

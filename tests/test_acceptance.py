@@ -22,7 +22,7 @@ from buildsnake.geometry import (
 )
 from buildsnake.metrics import completeness, confusion_counts, correctness, iou
 from buildsnake.polygonize import building_mbr, fit_rectilinear
-from buildsnake.raster import BinaryGrid, connected_components, gaussian_smooth, gradient
+from buildsnake.raster import connected_components, gaussian_smooth, gradient
 from buildsnake.snake import (
     evolve_step,
     shape_force,
@@ -170,9 +170,8 @@ def test_criterion_5_oracle_equivalence(report):
     cc_ok = True
     for _ in range(100):
         cells = rng.uniform(size=(32, 32)) < rng.uniform(0.3, 0.6)
-        grid = BinaryGrid(cells, 1.0, (0.0, 0.0))
         conn = int(rng.choice([4, 8]))
-        _, n = connected_components(grid, conn)
+        _, n = connected_components(cells, conn)
         cc_ok &= n == flood_fill_count(cells, conn)
 
     ok = hausdorff_exact and mbr_ok and cc_ok

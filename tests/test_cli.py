@@ -287,7 +287,10 @@ def test_extract_bad_config_value_exits_2(small_scene_dir, tmp_path):
     # argparse itself rejects a non-integer integer flag, so these come from JSON only.
     + [("config", "max_iters", 2.5), ("config", "ground_class", 2.5)]
     + [("flag", "sym_diff_tol", -1), ("flag", "min_segment_area_m2", "nan")]
-    + [("flag", "mu", "inf"), ("flag", "sigma", "inf")],
+    + [("flag", "mu", "inf"), ("flag", "sigma", "inf")]
+    # Float keys from JSON must be real numbers: no strings, null or booleans.
+    + [("config", "w_line", "abc"), ("config", "shape_weight", None), ("config", "epsilon", True)]
+    + [("config", "density", True), ("config", "alpha", "0.5")],
 )
 def test_extract_invalid_pipeline_value_exits_2(small_scene_dir, tmp_path, capsys, source, key, value):
     argv = [
@@ -401,6 +404,27 @@ def test_extract_degenerate_cloud_exits_1(small_scene_dir, tmp_path, capsys, edi
     )
     assert rc == 1
     assert f"error: [lidar] {message}" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["basic", "gvf", "proposed"])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 300)], ids=["2x2", "1x300"])
+def test_extract_image_below_3x3_exits_1(scene_dir, tmp_path, capsys, shape, mode):
+    tiny = tmp_path / "tiny.pgm"
+    tiny.write_bytes(raster.save_pgm(np.full(shape, 128.0)))
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "extract",
+            "--image", str(tiny),
+            "--cloud", str(scene_dir / "cloud.xyz"),
+            "--transform", str(scene_dir / "transform.txt"),
+            "--outdir", str(out),
+            "--mode", mode,
+        ]
+    )
+    assert rc == 1
+    assert "error: [snake] image must be at least 3x3 for gradients" in capsys.readouterr().err
     assert not (out / "run.json").exists()
 
 

@@ -21,6 +21,12 @@ from buildsnake.config import SnakeConfig
         ("connectivity", "8", "connectivity must be an integer, got '8'"),
         ("sym_diff_tol", -1.0, "sym_diff_tol must be non-negative, got -1.0"),
         ("min_segment_area_m2", -5, "min_segment_area_m2 must be non-negative, got -5"),
+        ("w_line", "abc", "w_line must be a number, got 'abc'"),
+        ("shape_weight", None, "shape_weight must be a number, got None"),
+        ("epsilon", True, "epsilon must be a number, got True"),
+        ("density", True, "density must be a number, got True"),
+        ("alpha", "0.5", "alpha must be a number, got '0.5'"),
+        ("density", "2", "density must be a number, got '2'"),
     ],
 )
 def test_invalid_value_raises(key, value, message):

@@ -117,6 +117,19 @@ def test_hull_degenerate_inputs():
 # min_area_rect
 
 
+def test_grid_cell_index_half_open_and_unclipped():
+    grid = GridSpec(origin=(1.0, -2.0), cell_size=0.5, width=4, height=3)
+    row, col = grid.cell_index(np.array([[1.0, -2.0], [1.49, -1.51], [1.5, -1.5], [0.9, 0.0]]))
+    assert col.tolist() == [0, 0, 1, -1]
+    assert row.tolist() == [0, 0, 1, 4]
+
+
+def test_grid_rejects_non_positive_cell_size():
+    for cell in (0.0, -1.0):
+        with pytest.raises(ValueError, match="cell_size must be positive"):
+            GridSpec(origin=(0.0, 0.0), cell_size=cell, width=2, height=2)
+
+
 def test_mbr_axis_aligned_square():
     rect = min_area_rect(UNIT_SQUARE)
     assert rect.angle_deg == pytest.approx(0.0, abs=1e-9)

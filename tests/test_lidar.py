@@ -13,13 +13,11 @@ from buildsnake.lidar import (
     extract_boundaries,
     extract_building_segments,
     parse_xyz,
-    project_boundary,
     project_to_grid,
     select_building_points,
     separate_ground,
     write_xyz,
 )
-from buildsnake.transform import AffineTransform2D
 
 
 def make_cloud(xy, z, classes=None) -> PointCloud3D:
@@ -259,33 +257,31 @@ def test_missing_ground_class_is_error():
 
 def test_cell_size_from_density():
     cloud = make_cloud([(0, 0), (10, 10)], 5.0)
-    assert project_to_grid(cloud, 2.0).cell_size == pytest.approx(1.0)
-    assert project_to_grid(cloud, 8.0).cell_size == pytest.approx(0.5)
+    assert project_to_grid(cloud, 2.0)[0].cell_size == pytest.approx(1.0)
+    assert project_to_grid(cloud, 8.0)[0].cell_size == pytest.approx(0.5)
 
 
 def test_single_point_single_cell():
-    g = project_to_grid(make_cloud([(3.0, 4.0)], 1.0), 2.0)
-    assert g.cells.sum() == 1
+    g, cells = project_to_grid(make_cloud([(3.0, 4.0)], 1.0), 2.0)
+    assert cells.dtype == bool and cells.shape == (g.height, g.width)
+    assert cells.sum() == 1
 
 
 def test_segments_area_filter():
     cloud_small = make_cloud([(x + 0.5, y + 0.5) for x in range(3) for y in range(3)], 5.0)
-    g = project_to_grid(cloud_small, 2.0)  # 1 m cells -> 9 m^2 blob
-    labels, n = extract_building_segments(g, opening_radius=1, min_area_m2=10.0)
+    g, cells = project_to_grid(cloud_small, 2.0)  # 1 m cells -> 9 m^2 blob
+    labels, n = extract_building_segments(cells, g.cell_size, opening_radius=1, min_area_m2=10.0)
     assert n == 0
 
     cloud_big = make_cloud([(x + 0.5, y + 0.5) for x in range(4) for y in range(4)], 5.0)
-    g = project_to_grid(cloud_big, 2.0)  # 16 m^2 blob
-    labels, n = extract_building_segments(g, opening_radius=1, min_area_m2=10.0)
+    g, cells = project_to_grid(cloud_big, 2.0)  # 16 m^2 blob
+    labels, n = extract_building_segments(cells, g.cell_size, opening_radius=1, min_area_m2=10.0)
     assert n == 1
     assert (labels > 0).sum() * g.cell_size**2 >= 10.0
 
 
 def test_segments_empty_grid():
-    from buildsnake.raster import BinaryGrid
-
-    g = BinaryGrid(np.zeros((5, 5), dtype=bool), 1.0, (0.0, 0.0))
-    _, n = extract_building_segments(g)
+    _, n = extract_building_segments(np.zeros((5, 5), dtype=bool), 1.0)
     assert n == 0
 
 
@@ -304,8 +300,8 @@ def test_select_building_points_bookkeeping():
     blob2 = diamond(35, 5)
     stray = [(20.0, 20.0)]
     cloud = make_cloud(blob1 + blob2 + stray, 5.0)
-    g = project_to_grid(cloud, 2.0)  # 1 m cells
-    labels, n = extract_building_segments(g, min_area_m2=10.0)
+    g, cells = project_to_grid(cloud, 2.0)  # 1 m cells
+    labels, n = extract_building_segments(cells, g.cell_size, min_area_m2=10.0)
     assert n == 2
     sel = select_building_points(cloud, g, labels)
     assert set(sel) == {1, 2}
@@ -316,7 +312,7 @@ def test_select_building_points_bookkeeping():
 
 def test_select_rejects_mismatched_labels():
     cloud = make_cloud([(0, 0), (1, 1), (5, 5)], 5.0)
-    g = project_to_grid(cloud, 2.0)
+    g, _ = project_to_grid(cloud, 2.0)
     with pytest.raises(ValueError):
         select_building_points(cloud, g, np.zeros((2, 2), dtype=int))
 
@@ -328,21 +324,19 @@ def test_select_rejects_mismatched_labels():
 def test_boundary_corners_of_box():
     xy = [(x, y) for x in range(5) for y in range(4)]
     cloud = make_cloud(xy, 7.0)
-    b = boundary_points(cloud, building_id=3)
-    assert b.building_id == 3
-    got = {tuple(p[:2]) for p in b.boundary}
+    b = boundary_points(cloud)
+    assert b.shape == (4, 2)
+    got = {tuple(p) for p in b}
     assert got == {(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 3.0)}
-    assert (b.boundary[:, 2] == 7.0).all()  # z carried through
 
 
 def test_boundary_idempotent_and_contains_points():
     rng = np.random.default_rng(14)
     xyz = np.column_stack([rng.uniform(0, 20, (80, 2)), rng.uniform(5, 6, 80)])
     cloud = PointCloud3D(xyz)
-    b = boundary_points(cloud)
-    again = boundary_points(PointCloud3D(b.boundary))
-    assert np.array_equal(np.sort(again.boundary, axis=0), np.sort(b.boundary, axis=0))
-    hull_xy = b.boundary[:, :2]
+    hull_xy = boundary_points(cloud)
+    again = boundary_points(make_cloud(hull_xy, 5.0))
+    assert np.array_equal(np.sort(again, axis=0), np.sort(hull_xy, axis=0))
     center = hull_xy.mean(axis=0)
     grown = center + (hull_xy - center) * (1 + 1e-9)
     assert points_in_polygon(xyz[:, :2], grown).all()
@@ -351,31 +345,32 @@ def test_boundary_idempotent_and_contains_points():
 def test_boundary_xy_convex():
     rng = np.random.default_rng(15)
     xyz = np.column_stack([rng.uniform(0, 10, (50, 2)), rng.uniform(0, 1, 50)])
-    b = boundary_points(PointCloud3D(xyz))
-    h = b.boundary[:, :2]
+    h = boundary_points(PointCloud3D(xyz))
     n = len(h)
     for i in range(n):
         o, a, c = h[i], h[(i + 1) % n], h[(i + 2) % n]
         assert (a[0] - o[0]) * (c[1] - o[1]) - (a[1] - o[1]) * (c[0] - o[0]) > 0
 
 
-def test_project_boundary_transforms():
-    from buildsnake.lidar import BuildingBoundary3D
-
-    b = BuildingBoundary3D(1, np.array([[0.0, 0.0, 5.0], [2.0, 0.0, 5.0], [0.0, 2.0, 5.0]]))
-    ident = project_boundary(b, AffineTransform2D.identity())
-    assert np.allclose(ident.pixels, b.boundary[:, :2])
-
-    shifted = project_boundary(b, AffineTransform2D(1, 0, 0, 1, 5.0, -3.0))
-    assert np.allclose(shifted.pixels, b.boundary[:, :2] + [5.0, -3.0])
-
-    scaled = project_boundary(b, AffineTransform2D(2, 0, 0, 2, 0, 0))
-    d0 = np.linalg.norm(b.boundary[0, :2] - b.boundary[1, :2])
-    d1 = np.linalg.norm(scaled.pixels[0] - scaled.pixels[1])
-    assert d1 == pytest.approx(2 * d0)
-
-
 def test_end_to_end_building_count(quebec_scene):
     spec, _, cloud, truth, _ = quebec_scene
-    boundaries, _, _ = extract_boundaries(cloud, density=spec.lidar_density)
-    assert len(boundaries) == len(spec.buildings)
+    hulls, cells, labels = extract_boundaries(cloud, density=spec.lidar_density)
+    assert len(hulls) == len(spec.buildings)
+    assert cells.dtype == bool and labels.shape == cells.shape
+    ids = [bid for bid, _ in hulls]
+    assert ids == sorted(ids) == list(range(1, labels.max() + 1))
+    for _, hull in hulls:
+        assert hull.ndim == 2 and hull.shape[1] == 2 and len(hull) >= 3
+
+
+def test_extract_boundaries_estimates_density_from_whole_cloud(quebec_scene):
+    cloud = quebec_scene[2]
+    xy = cloud.xyz[:, :2]
+    density = len(cloud) / float(np.prod(xy.max(axis=0) - xy.min(axis=0)))
+    auto = extract_boundaries(cloud)
+    given = extract_boundaries(cloud, density=density)
+    assert [b for b, _ in auto[0]] == [b for b, _ in given[0]]
+    for (_, a), (_, g) in zip(auto[0], given[0]):
+        assert a.tobytes() == g.tobytes()
+    assert np.array_equal(auto[1], given[1]) and np.array_equal(auto[2], given[2])
+

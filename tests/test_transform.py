@@ -23,6 +23,16 @@ def test_apply_rotation_90():
     assert out == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
+def test_apply_array_identity_shift_scale():
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    assert np.allclose(AffineTransform2D.identity().apply(pts), pts)
+    assert np.allclose(AffineTransform2D(1, 0, 0, 1, 5.0, -3.0).apply(pts), pts + [5.0, -3.0])
+    scaled = AffineTransform2D(2, 0, 0, 2, 0, 0).apply(pts)
+    d0 = np.linalg.norm(pts[0] - pts[1])
+    d1 = np.linalg.norm(scaled[0] - scaled[1])
+    assert d1 == pytest.approx(2 * d0)
+
+
 def test_singular_transform_rejected():
     with pytest.raises(ValueError):
         AffineTransform2D(1, 2, 2, 4, 0, 0)
