@@ -101,42 +101,46 @@ def rotate_points(points, angle_deg: float, center=(0.0, 0.0)) -> np.ndarray:
     return (pts - ctr) @ rot.T + ctr
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def convex_hull_indices(points) -> np.ndarray:
     """Indices into `points` forming the convex hull, counter-clockwise.
 
-    Collinear points on the hull boundary are dropped. Raises ValueError
-    when fewer than 3 points remain or all points are collinear.
+    Andrew's monotone chain on the points sorted by (x, y), run on Python
+    floats. Duplicates keep their first index in that order. Collinear
+    points on the hull boundary are dropped. Raises ValueError when fewer
+    than 3 points remain or all points are collinear.
     """
     pts = _as_points(points)
     if len(pts) < 3:
         raise ValueError("convex hull needs at least 3 points")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    # Keep one index per distinct coordinate.
-    uniq: list[int] = []
-    for idx in order:
-        if not uniq or not np.array_equal(pts[idx], pts[uniq[-1]]):
-            uniq.append(int(idx))
+    # Equal points are neighbours once sorted: keep the first of each run.
+    srt = pts[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    uniq = order[first]
     if len(uniq) < 3:
         raise ValueError("convex hull needs at least 3 distinct points")
+    xy = srt[first].tolist()
 
-    def half_hull(indices):
+    def half_hull(positions):
         chain: list[int] = []
-        for idx in indices:
-            while len(chain) >= 2 and _cross(pts[chain[-2]], pts[chain[-1]], pts[idx]) <= 0:
+        for k in positions:
+            bx, by = xy[k]
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = xy[chain[-2]], xy[chain[-1]]
+                # Pop on a cross product <= 0; an overflow to NaN keeps the point.
+                if not (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= 0:
+                    break
                 chain.pop()
-            chain.append(idx)
+            chain.append(k)
         return chain
 
-    lower = half_hull(uniq)
-    upper = half_hull(uniq[::-1])
+    lower = half_hull(range(len(xy)))
+    upper = half_hull(reversed(range(len(xy))))
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise ValueError("points are collinear; convex hull is degenerate")
-    return np.asarray(hull, dtype=int)
+    return uniq[hull]
 
 
 def convex_hull(points) -> np.ndarray:
@@ -162,11 +166,8 @@ def min_area_rect(points) -> OrientedRect:
         minx, miny = rot.min(axis=0)
         maxx, maxy = rot.max(axis=0)
         area = (maxx - minx) * (maxy - miny)
-        if (
-            best is None
-            or area < best[0] - 1e-12 * max(best[0], 1.0)
-            or (area <= best[0] + 1e-12 * max(best[0], 1.0) and phi < best[1])
-        ):
+        # Angles ascend, so an earlier best keeps a tie: it has the smaller angle.
+        if best is None or area < best[0] - 1e-12 * max(best[0], 1.0):
             best = (area, float(phi), (minx, maxx, miny, maxy))
     area, phi, (minx, maxx, miny, maxy) = best
     center_local = np.array([(minx + maxx) / 2.0, (miny + maxy) / 2.0])
@@ -363,6 +364,8 @@ def wkt_to_polygon(text: str) -> np.ndarray:
         x, y = pair.split()
         pts.append((float(x), float(y)))
     arr = np.asarray(pts, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("WKT coordinates must be finite")
     if len(arr) >= 2 and np.allclose(arr[0], arr[-1]):
         arr = arr[:-1]
     if len(arr) < 3:

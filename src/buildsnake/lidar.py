@@ -1,8 +1,8 @@
 """Per-building boundary extraction from an airborne LiDAR point cloud.
 
 Stages: ground separation by elevation threshold, vertical projection to an
-occupancy grid, opening + labeling + area filter, per-segment point selection
-and each segment's planar convex hull in xy.
+occupancy grid, opening + labeling + area filter, then one grouping of the
+points by segment label and each segment's planar convex hull in xy.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ __all__ = [
     "separate_ground",
     "project_to_grid",
     "extract_building_segments",
-    "select_building_points",
-    "boundary_points",
     "extract_boundaries",
 ]
 
@@ -175,39 +173,12 @@ def extract_building_segments(
     """Opened, labeled segments with small ones removed; labels compacted."""
     opened = morphological_open(cells, radius=opening_radius)
     labels, count = connected_components(opened, connectivity=connectivity)
-    if count == 0:
-        return labels, 0
     cell_area = cell_size**2
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     keep = np.flatnonzero(sizes[1:] * cell_area >= min_area_m2) + 1
     remap = np.zeros(count + 1, dtype=labels.dtype)
     remap[keep] = np.arange(1, len(keep) + 1)
     return remap[labels], len(keep)
-
-
-def select_building_points(
-    cloud: PointCloud3D, grid: GridSpec, labels: np.ndarray
-) -> dict[int, PointCloud3D]:
-    """Assign each point to the labeled segment of its containing cell."""
-    if labels.shape != (grid.height, grid.width):
-        raise ValueError("label grid does not match the projection grid")
-    row, col = grid.cell_index(cloud.xyz[:, :2])
-    inside = (row >= 0) & (row < grid.height) & (col >= 0) & (col < grid.width)
-    point_label = np.zeros(len(cloud), dtype=int)
-    point_label[inside] = labels[row[inside], col[inside]]
-    return {
-        int(lbl): cloud.subset(point_label == lbl)
-        for lbl in np.flatnonzero(np.bincount(point_label))
-        if lbl > 0
-    }
-
-
-def boundary_points(points: PointCloud3D) -> np.ndarray:
-    """Convex hull of the xy projection, (M, 2) counter-clockwise."""
-    if len(points) < 3:
-        raise ValueError("need at least 3 points for a boundary")
-    xy = points.xyz[:, :2]
-    return xy[convex_hull_indices(xy)]
 
 
 def extract_boundaries(
@@ -243,11 +214,20 @@ def extract_boundaries(
         min_area_m2=min_area_m2,
         connectivity=connectivity,
     )
-    buildings = select_building_points(nonground, grid, labels)
+    # Every non-ground point lies inside the grid it was projected onto. A
+    # stable sort by segment label keeps each segment's points in cloud order.
+    xy = nonground.xyz[:, :2]
+    point_label = labels[grid.cell_index(xy)]
+    order = np.argsort(point_label, kind="stable")
+    sorted_label = point_label[order]
+    starts = np.flatnonzero(sorted_label[1:] != sorted_label[:-1]) + 1
+    ids = sorted_label[np.concatenate(([0], starts))].tolist()
     hulls = []
-    for bid in sorted(buildings):
+    for bid, seg in zip(ids, np.split(xy[order], starts)):
+        if bid == 0:
+            continue  # background cells
         try:
-            hulls.append((bid, boundary_points(buildings[bid])))
+            hulls.append((bid, seg[convex_hull_indices(seg)]))
         except ValueError:
             continue  # fewer than 3 points, or collinear: no boundary
     return hulls, cells, labels

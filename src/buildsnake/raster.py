@@ -92,18 +92,11 @@ def load_pnm(data: bytes):
         # Raw formats: payload starts after exactly one whitespace byte
         # following the maxval token.
         start = maxpos + len(maxtok) + 1
-        if maxval < 256:
-            need = count
-            payload = data[start : start + need]
-            if len(payload) < need:
-                raise ValueError("truncated PNM payload")
-            raw = np.frombuffer(payload, dtype=np.uint8, count=count).astype(float)
-        else:
-            need = count * 2
-            payload = data[start : start + need]
-            if len(payload) < need:
-                raise ValueError("truncated PNM payload")
-            raw = np.frombuffer(payload, dtype=">u2", count=count).astype(float)
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        payload = data[start : start + count * dtype.itemsize]
+        if len(payload) < count * dtype.itemsize:
+            raise ValueError("truncated PNM payload")
+        raw = np.frombuffer(payload, dtype=dtype, count=count).astype(float)
 
     raw = raw * (255.0 / maxval)
     if channels == 1:

@@ -20,6 +20,8 @@ class AffineTransform2D:
     ty: float
 
     def __post_init__(self):
+        if not np.isfinite([self.a, self.b, self.c, self.d, self.tx, self.ty]).all():
+            raise ValueError("transform coefficients must be finite")
         if abs(self.a * self.d - self.b * self.c) < 1e-15:
             raise ValueError("transform is singular (zero determinant)")
 
@@ -59,6 +61,8 @@ def fit_least_squares(pairs) -> AffineTransform2D:
     dst = np.asarray([p[1] for p in pairs], dtype=float)
     if len(src) < 3:
         raise ValueError("need at least 3 correspondences")
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise ValueError("correspondences must be finite")
     design = np.column_stack([src[:, 0], src[:, 1], np.ones(len(src))])
     if np.linalg.matrix_rank(design) < 3:
         raise ValueError("correspondences are collinear; system is rank-deficient")

@@ -355,6 +355,9 @@ def test_extract_flags_match_config_fields_one_to_one():
 
 TRUNCATED_PGM = b"P5\n4 4\n255\n" + bytes(5)
 BAD_WKT = b"POLYGON((0 0, 1 x, 1 1, 0 0))\n"
+NAN_WKT = b"POLYGON((0 0, 1 0, 1 nan, 0 1, 0 0))\n"
+BAD_TRANSFORM_ARGV = ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{scene}/cloud.xyz",
+                      "--transform", "{bad}", "--outdir", "{out}"]
 
 
 @pytest.mark.parametrize(
@@ -367,6 +370,16 @@ BAD_WKT = b"POLYGON((0 0, 1 x, 1 1, 0 0))\n"
         ("extracted", BAD_WKT, ["evaluate", "--extracted", "{bad}", "--truth", "{scene}/truth.wkt"]),
         ("truth", BAD_WKT, ["evaluate", "--extracted", "{scene}/truth.wkt", "--truth", "{bad}"]),
         ("pairs", b"0 0 0 0\n1 0 one 0\n", ["fit-transform", "--pairs", "{bad}"]),
+        ("cloud", b"0 0 0 2\n1 nan 0 2\n", ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{bad}",
+                                             "--transform", "{scene}/transform.txt", "--outdir", "{out}"]),
+        ("transform", b"1 0 0 1 nan 0\n", BAD_TRANSFORM_ARGV),
+        ("transform", b"inf 0 0 1 0 0\n", BAD_TRANSFORM_ARGV),
+        ("pairs", b"0 0 0 0\n1 0 1 nan\n0 1 0 1\n", ["fit-transform", "--pairs", "{bad}"]),
+        ("pairs", b"0 0 0 0\nnan 0 1 0\n0 1 0 1\n", ["fit-transform", "--pairs", "{bad}"]),
+        ("extracted", NAN_WKT, ["evaluate", "--extracted", "{bad}", "--truth", "{scene}/truth.wkt"]),
+        ("truth", NAN_WKT, ["evaluate", "--extracted", "{scene}/truth.wkt", "--truth", "{bad}"]),
+        ("truth", NAN_WKT, ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{scene}/cloud.xyz",
+                            "--transform", "{scene}/transform.txt", "--outdir", "{out}", "--truth", "{bad}"]),
     ],
 )
 def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, capsys, stage, content, argv):
@@ -506,6 +519,29 @@ def test_evaluate_unmatched_listed(small_scene_dir, tmp_path):
     report = json.loads(report_path.read_text())
     assert report["unmatched"]["truth"] == [1]
     assert len(report["per_building"]) == 1
+
+
+def test_evaluate_pairing_index_pairs_by_position(tmp_path):
+    # Truth squares A, B, C; extracted [A, C]. Index pairing takes (0, 0) and
+    # (1, 1), so C meets B; centroid pairing would take (1, 2).
+    square = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
+    squares = [square + (20 * k, 0) for k in range(3)]
+    truth = tmp_path / "truth.wkt"
+    truth.write_text("".join(polygon_to_wkt(p) + "\n" for p in squares), encoding="utf-8")
+    extracted = tmp_path / "extracted.wkt"
+    extracted.write_text("".join(polygon_to_wkt(squares[k]) + "\n" for k in (0, 2)), encoding="utf-8")
+    reports = {}
+    for pairing in ("index", "centroid"):
+        out = tmp_path / f"{pairing}.json"
+        argv = ["evaluate", "--extracted", str(extracted), "--truth", str(truth), "--out", str(out)]
+        assert main(argv + ["--pairing", pairing]) == 0
+        reports[pairing] = json.loads(out.read_text())
+    by_index = reports["index"]
+    assert [b["id"] for b in by_index["per_building"]] == [0, 1]
+    assert [b["iou"] for b in by_index["per_building"]] == [100.0, 0.0]
+    assert by_index["unmatched"] == {"extracted": [], "truth": [2]}
+    assert [b["iou"] for b in reports["centroid"]["per_building"]] == [100.0, 100.0]
+    assert reports["centroid"]["unmatched"]["truth"] == [1]
 
 
 # ---------------------------------------------------------------------------

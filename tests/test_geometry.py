@@ -8,6 +8,7 @@ import pytest
 from buildsnake.geometry import (
     GridSpec,
     convex_hull,
+    convex_hull_indices,
     dominant_angle,
     hausdorff_distance,
     min_area_rect,
@@ -111,6 +112,95 @@ def test_hull_degenerate_inputs():
         convex_hull([[0, 0], [1, 1]])
     with pytest.raises(ValueError):
         convex_hull([[0, 0], [1, 1], [2, 2], [3, 3]])
+
+
+def _reference_cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def reference_convex_hull_indices(points) -> np.ndarray:
+    """Monotone chain on numpy scalars, deduplicated by np.array_equal per point."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 3:
+        raise ValueError("convex hull needs at least 3 points")
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    uniq: list[int] = []
+    for idx in order:
+        if not uniq or not np.array_equal(pts[idx], pts[uniq[-1]]):
+            uniq.append(int(idx))
+    if len(uniq) < 3:
+        raise ValueError("convex hull needs at least 3 distinct points")
+
+    def half_hull(indices):
+        chain: list[int] = []
+        for idx in indices:
+            while len(chain) >= 2 and _reference_cross(pts[chain[-2]], pts[chain[-1]], pts[idx]) <= 0:
+                chain.pop()
+            chain.append(idx)
+        return chain
+
+    lower = half_hull(uniq)
+    upper = half_hull(uniq[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        raise ValueError("points are collinear; convex hull is degenerate")
+    return np.asarray(hull, dtype=int)
+
+
+def _hull_case(rng, kind):
+    if kind == "random-disk":
+        return rng.normal(0, 5, (300, 2))
+    if kind == "duplicates":
+        pts = rng.integers(0, 6, (60, 2)).astype(float)
+        return np.vstack([pts, pts[rng.permutation(60)[:25]]])
+    if kind == "signed-zeros":
+        pts = rng.choice([-0.0, 0.0, 1.0, -1.0], (40, 2))
+        return np.vstack([pts, [[0.0, 2.0], [-0.0, 2.0], [-0.0, -0.0], [0.0, -0.0]]])
+    if kind == "collinear-runs":
+        t = np.arange(12.0)
+        edges = [np.column_stack([t, 0 * t]), np.column_stack([11 + 0 * t, t]), np.column_stack([t, t])]
+        return rng.permutation(np.vstack(edges))
+    if kind == "integer-lattice":
+        return np.stack(np.meshgrid(np.arange(-3, 5), np.arange(2, 9)), -1).reshape(-1, 2)
+    if kind == "lattice-with-interior-duplicates":
+        lattice = np.stack(np.meshgrid(np.arange(6.0), np.arange(4.0)), -1).reshape(-1, 2)
+        return np.vstack([lattice, lattice[::3], [[2.5, 1.5]] * 3])
+    if kind == "collinear":
+        return np.repeat(np.column_stack([np.arange(8.0), 2 * np.arange(8.0)]), 2, axis=0)
+    if kind == "two-distinct":
+        return np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [-0.0, 0.0]])
+    if kind == "overflow":
+        return rng.uniform(-1, 1, (30, 2)) * 1e200
+    raise ValueError(kind)
+
+
+HULL_KINDS = [
+    "random-disk",
+    "duplicates",
+    "signed-zeros",
+    "collinear-runs",
+    "integer-lattice",
+    "lattice-with-interior-duplicates",
+    "collinear",
+    "two-distinct",
+    "overflow",
+]
+
+
+@pytest.mark.parametrize("kind", HULL_KINDS)
+def test_hull_indices_equal_monotone_chain_reference(kind):
+    rng = np.random.default_rng(HULL_KINDS.index(kind))
+    for _ in range(5):
+        pts = _hull_case(rng, kind)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = reference_convex_hull_indices(pts)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                convex_hull_indices(pts)
+            continue
+        got = convex_hull_indices(pts)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +517,9 @@ def test_wkt_round_trip():
 def test_wkt_rejects_garbage():
     with pytest.raises(ValueError):
         wkt_to_polygon("LINESTRING(0 0, 1 1)")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_wkt_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="WKT coordinates must be finite"):
+        wkt_to_polygon(f"POLYGON((0 0, 1 0, 1 {bad}, 0 1, 0 0))")

@@ -5,19 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from buildsnake.geometry import points_in_polygon
+from buildsnake.geometry import convex_hull, convex_hull_indices, points_in_polygon
 from buildsnake.lidar import (
     PointCloud3D,
     _ground_elevations_fallback,
-    boundary_points,
     extract_boundaries,
     extract_building_segments,
     parse_xyz,
     project_to_grid,
-    select_building_points,
     separate_ground,
     write_xyz,
 )
+from buildsnake.synthetic import generate_scene, quebec_like_spec
 
 
 def make_cloud(xy, z, classes=None) -> PointCloud3D:
@@ -285,6 +284,12 @@ def test_segments_empty_grid():
     assert n == 0
 
 
+def with_ground(cloud: PointCloud3D) -> PointCloud3D:
+    """`cloud` as class 6, plus three class-2 points at z = 0 (T_e = 2.5)."""
+    ground = [[-50.0, -50.0, 0.0], [-40.0, -50.0, 0.0], [-50.0, -40.0, 0.0]]
+    return PointCloud3D(np.vstack([cloud.xyz, ground]), [6] * len(cloud) + [2, 2, 2])
+
+
 def test_select_building_points_bookkeeping():
     # Diamond blobs (one point per 1 m cell center) are invariant under the
     # radius-1 opening, so per-building counts match the generator exactly.
@@ -300,21 +305,13 @@ def test_select_building_points_bookkeeping():
     blob2 = diamond(35, 5)
     stray = [(20.0, 20.0)]
     cloud = make_cloud(blob1 + blob2 + stray, 5.0)
-    g, cells = project_to_grid(cloud, 2.0)  # 1 m cells
-    labels, n = extract_building_segments(cells, g.cell_size, min_area_m2=10.0)
-    assert n == 2
-    sel = select_building_points(cloud, g, labels)
-    assert set(sel) == {1, 2}
-    assert len(sel[1]) == len(blob1) and len(sel[2]) == len(blob2)
-    # Stray point sits on a background cell and is absent from every set.
-    assert sum(len(c) for c in sel.values()) == len(cloud) - 1
-
-
-def test_select_rejects_mismatched_labels():
-    cloud = make_cloud([(0, 0), (1, 1), (5, 5)], 5.0)
-    g, _ = project_to_grid(cloud, 2.0)
-    with pytest.raises(ValueError):
-        select_building_points(cloud, g, np.zeros((2, 2), dtype=int))
+    hulls, cells, labels = extract_boundaries(with_ground(cloud), density=2.0)  # 1 m cells
+    assert [bid for bid, _ in hulls] == [1, 2]
+    assert (labels == 1).sum() == len(blob1) and (labels == 2).sum() == len(blob2)
+    assert hulls[0][1].tobytes() == convex_hull(blob1).tobytes()
+    assert hulls[1][1].tobytes() == convex_hull(blob2).tobytes()
+    # Stray point sits on a background cell and is absent from every segment.
+    assert cells.sum() == len(cloud) and (labels > 0).sum() == len(cloud) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +320,7 @@ def test_select_rejects_mismatched_labels():
 
 def test_boundary_corners_of_box():
     xy = [(x, y) for x in range(5) for y in range(4)]
-    cloud = make_cloud(xy, 7.0)
-    b = boundary_points(cloud)
+    b = convex_hull(make_cloud(xy, 7.0).xyz[:, :2])
     assert b.shape == (4, 2)
     got = {tuple(p) for p in b}
     assert got == {(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 3.0)}
@@ -333,9 +329,8 @@ def test_boundary_corners_of_box():
 def test_boundary_idempotent_and_contains_points():
     rng = np.random.default_rng(14)
     xyz = np.column_stack([rng.uniform(0, 20, (80, 2)), rng.uniform(5, 6, 80)])
-    cloud = PointCloud3D(xyz)
-    hull_xy = boundary_points(cloud)
-    again = boundary_points(make_cloud(hull_xy, 5.0))
+    hull_xy = convex_hull(xyz[:, :2])
+    again = convex_hull(make_cloud(hull_xy, 5.0).xyz[:, :2])
     assert np.array_equal(np.sort(again, axis=0), np.sort(hull_xy, axis=0))
     center = hull_xy.mean(axis=0)
     grown = center + (hull_xy - center) * (1 + 1e-9)
@@ -345,11 +340,63 @@ def test_boundary_idempotent_and_contains_points():
 def test_boundary_xy_convex():
     rng = np.random.default_rng(15)
     xyz = np.column_stack([rng.uniform(0, 10, (50, 2)), rng.uniform(0, 1, 50)])
-    h = boundary_points(PointCloud3D(xyz))
+    h = convex_hull(xyz[:, :2])
     n = len(h)
     for i in range(n):
         o, a, c = h[i], h[(i + 1) % n], h[(i + 2) % n]
         assert (a[0] - o[0]) * (c[1] - o[1]) - (a[1] - o[1]) * (c[0] - o[0]) > 0
+
+
+def reference_boundaries(nonground: PointCloud3D, grid, labels) -> list[tuple[int, np.ndarray]]:
+    """The grouping as one masked cloud per label, each hulled in xy."""
+    row, col = grid.cell_index(nonground.xyz[:, :2])
+    inside = (row >= 0) & (row < grid.height) & (col >= 0) & (col < grid.width)
+    point_label = np.zeros(len(nonground), dtype=int)
+    point_label[inside] = labels[row[inside], col[inside]]
+    hulls = []
+    for lbl in np.flatnonzero(np.bincount(point_label)):
+        if lbl == 0:
+            continue
+        points = nonground.subset(point_label == lbl)
+        if len(points) < 3:
+            continue
+        xy = points.xyz[:, :2]
+        try:
+            hulls.append((int(lbl), xy[convex_hull_indices(xy)]))
+        except ValueError:
+            continue
+    return hulls
+
+
+def _assert_equal_reference(cloud: PointCloud3D, density: float, **kwargs):
+    hulls, _, labels = extract_boundaries(cloud, density=density, **kwargs)
+    _, nonground = separate_ground(cloud)
+    grid, _ = project_to_grid(nonground, density)
+    expected = reference_boundaries(nonground, grid, labels)
+    assert [bid for bid, _ in hulls] == [bid for bid, _ in expected]
+    for (_, got), (_, ref) in zip(hulls, expected):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    return hulls
+
+
+@pytest.mark.parametrize("seed", [7, 13, 3])
+def test_extract_boundaries_equals_mask_reference_on_preset(seed):
+    spec = quebec_like_spec(seed=seed)
+    _, cloud, _, _ = generate_scene(spec)
+    assert len(_assert_equal_reference(cloud, spec.lidar_density)) == len(spec.buildings)
+
+
+def test_extract_boundaries_equals_mask_reference_with_duplicate_points():
+    # Two 4 x 3 lattices at the 1 m cell pitch, every point given twice. The
+    # grid origin is the points' minimum, so the first lattice lies on column
+    # edges and the second on row edges. The first lattice's copy has -0.0
+    # for 0.0, which only the order of the points can tell apart from 0.0.
+    # The opening removes a lone point.
+    cols = [(float(x), y + 0.5) for x in range(4) for y in range(3)]
+    rows = [(x + 10.25, float(y)) for x in range(4) for y in range(3)]
+    xy = cols + rows * 2 + [(x or -0.0, y) for x, y in cols] + [(20.5, 20.5)]
+    hulls = _assert_equal_reference(with_ground(make_cloud(xy, 5.0)), 2.0, min_area_m2=0.0)
+    assert [bid for bid, _ in hulls] == [1, 2]
 
 
 def test_end_to_end_building_count(quebec_scene):

@@ -107,3 +107,20 @@ def test_fit_rejects_collinear():
         fit_least_squares([(s, s) for s in src])
     with pytest.raises(ValueError):
         fit_least_squares([((0, 0), (0, 0)), ((1, 1), (1, 1))])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_rejected(bad):
+    for k in range(6):
+        coef = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        coef[k] = bad
+        with pytest.raises(ValueError, match="transform coefficients must be finite"):
+            AffineTransform2D(*coef)
+    pairs = [((0.0, 0.0), (0.0, 0.0)), ((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (0.0, 1.0))]
+    for k in range(3):
+        for side in range(2):
+            for axis in range(2):
+                bad_pairs = [[list(p) for p in pair] for pair in pairs]
+                bad_pairs[k][side][axis] = bad
+                with pytest.raises(ValueError, match="correspondences must be finite"):
+                    fit_least_squares(bad_pairs)
