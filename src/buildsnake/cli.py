@@ -72,12 +72,12 @@ def extract_buildings(
 
     results = []
     try:
-        fields = prepare_fields(gray, cfg)
-        if debug is not None:
-            debug["fields"] = fields
+        force = prepare_fields(gray, cfg)
+        if debug is not None and cfg.mode != "basic":
+            debug["gvf_magnitude"] = np.hypot(*force)
         for building_id, hull in hulls:
             init = t.apply(hull)
-            contour = run_snake(init, gray, cfg, fields=fields)
+            contour = run_snake(init, force, cfg)
             mbr = building_mbr(init)
             try:
                 poly = fit_rectilinear(contour, mbr, sym_diff_tol=cfg.sym_diff_tol)
@@ -220,9 +220,8 @@ def cmd_extract(args) -> int:
             labels = debug["labels"]
             scale = 255.0 / max(labels.max(), 1)
             (ddir / "labels.pgm").write_bytes(raster.save_pgm(labels * scale))
-        if debug.get("fields") is not None and debug["fields"].gvf is not None:
-            g = debug["fields"].gvf
-            mag = np.hypot(g.u, g.v)
+        if debug.get("gvf_magnitude") is not None:
+            mag = debug["gvf_magnitude"]
             mx = mag.max()
             (ddir / "gvf_magnitude.pgm").write_bytes(raster.save_pgm(mag * (255.0 / mx if mx > 0 else 0)))
         for r in results:
@@ -232,6 +231,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    for flag, val in (("--cell-size", args.cell_size), ("--distance-scale", args.distance_scale)):
+        if not 0 < val < np.inf:
+            raise ConfigError(f"[config] {flag} must be a positive finite number, got {val!r}")
     extracted = _parse_file(args.extracted, "extracted", _wkts)
     truth = _parse_file(args.truth, "truth", _wkts)
     if args.pairing == "index":

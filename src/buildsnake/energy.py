@@ -78,70 +78,44 @@ def image_energy(
     return w_line * _minmax(e_line) + w_edge * _minmax(e_edge) + w_term * _minmax(e_term)
 
 
-def _laplacian(f: np.ndarray) -> np.ndarray:
-    """5-point Laplacian with edge-replicated borders."""
-    p = np.pad(f, 1, mode="edge")
-    return p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * f
+def _edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(f_x then f_y as (2, H, W), g = f_x^2 + f_y^2, max g) of f = -e_img.
 
-
-def gvf_residual(field: GvfField, e_img: np.ndarray) -> float:
-    """Max-abs residual of the GVF Euler equations over interior pixels."""
-    f = -np.asarray(e_img, dtype=float)
-    fx, fy = gradient(f)
-    g = fx * fx + fy * fy
-    ru = field.mu * _laplacian(field.u) - (field.u - fx) * g
-    rv = field.mu * _laplacian(field.v) - (field.v - fy) * g
-    return float(max(np.abs(ru[1:-1, 1:-1]).max(), np.abs(rv[1:-1, 1:-1]).max()))
-
-
-def compute_gvf(
-    e_img: np.ndarray,
-    mu: float = 0.2,
-    iters: int = 200,
-    residual_factor: float = 1e-4,
-) -> GvfField:
-    """Diffuse the edge force of f = -e_img into a gradient vector flow field.
-
-    Explicit time stepping of u_t = mu lap(u) - (u - f_x)(f_x^2 + f_y^2)
-    (and the v analogue), stopping after `iters` steps or when the max-abs
-    residual over all pixels falls below residual_factor * max|grad f|. The
-    step size obeys the full stability bound dt < 2/(8 mu + max g): the
-    diffusion-only CFL value 0.25/mu sits exactly on the boundary and lets
-    the reaction term amplify checkerboard noise on strong-gradient inputs.
-
-    The `iters` cap of 200 is the operating point: on the benchmark scenes the
-    residual ends near 1.1e-4 against a tolerance of 1.8e-5, so the stop test
-    does not fire. Each Jacobi step updates u and v in place, one cache-sized
-    strip of rows at a time, from the kept old value of the row above the
-    strip; every pixel gets the same floating-point operations in the same
-    order as in a whole-image step, so the field is the same bit for bit.
-
-    Within a strip, up + down is one add of the rows above and below each
-    inner row, plus one row add each for the strip's first and last rows (or
-    a single add of the row above and the row below for a strip one row high).
-    Left and right are added as shifts along each field's flat strip, so a
-    row's first column first takes the previous row's last value; that column
-    is redone from its saved up + down sum plus its own (edge-replicated)
-    value, and the last column likewise around the right shift. Once a step's
-    residual reaches the tolerance, that step cannot stop, so the rest of its
-    strips skip the max-abs reduction.
+    Raises ValueError where a NaN residual would read as converged: on a
+    non-finite e_img or an overflowing g.
     """
-    if not 0 < mu < np.inf:
-        raise ValueError(f"mu must be a positive finite number, got {mu!r}")
     f = -np.asarray(e_img, dtype=float)
     if not np.isfinite(f).all():
         raise ValueError("e_img must be finite")
     fx, fy = gradient(f)
     g = fx * fx + fy * fy
-    f_xy = np.stack((fx, fy))  # (2, H, W): the edge force, f_x then f_y
-    del f, fx, fy
-    w_uv = f_xy.copy()  # (2, H, W): u then v, updated in place
     g_max = float(g.max())
     if not np.isfinite(g_max):
         raise ValueError("the gradient of e_img overflows")
-    dt = 1.9 / (8.0 * mu + g_max)
-    tol = residual_factor * float(np.sqrt(g_max))
+    return np.stack((fx, fy)), g, g_max
 
+
+def _jacobi(
+    w_uv: np.ndarray, f_xy: np.ndarray, g: np.ndarray, mu: float, dt: float, tol: float, iters: int
+) -> tuple[int, float]:
+    """Up to `iters` steps w += dt r, r = mu lap(w) - (w - f) g, on (2, H, W) w_uv in place.
+
+    Stops after the first step whose max |r| over all pixels is below `tol`.
+    Returns the steps taken and the last step's max |r| (exact below `tol`).
+
+    Each step runs one cache-sized strip of rows at a time, from the kept old
+    value of the row above the strip; every pixel gets the same
+    floating-point operations in the same order as in a whole-image step, so
+    the result is the same bit for bit. Within a strip, up + down is one add
+    of the rows above and below each inner row, plus one row add each for the
+    strip's first and last rows (or a single add of the row above and the row
+    below for a strip one row high). Left and right are added as shifts along
+    each field's flat strip, so a row's first column first takes the previous
+    row's last value; that column is redone from its saved up + down sum plus
+    its own (edge-replicated) value, and the last column likewise around the
+    right shift. Once a step's residual reaches `tol`, that step cannot stop,
+    so the rest of its strips skip the max-abs reduction.
+    """
     h, w = g.shape
     rows = max(1, STRIP_ELEMS // w)
     flat_uv = w_uv.reshape(2, h * w)  # (2, H*W) views; a strip is a slice of these
@@ -151,7 +125,7 @@ def compute_gvf(
     tmp = np.empty((2, rows * w))
     edge = np.empty((2, rows))  # a strip's first or last column, saved
     prev = np.empty((2, w))  # old value of the row above the current strip
-    done = 0
+    done, r_max = 0, 0.0
     for done in range(1, iters + 1):
         r_max = 0.0
         for r0 in range(0, h, rows):
@@ -195,4 +169,44 @@ def compute_gvf(
             s += a
         if r_max < tol:
             break
+    return done, r_max
+
+
+def compute_gvf(
+    e_img: np.ndarray,
+    mu: float = 0.2,
+    iters: int = 200,
+    residual_factor: float = 1e-4,
+) -> GvfField:
+    """Diffuse the edge force of f = -e_img into a gradient vector flow field.
+
+    Explicit time stepping of u_t = mu lap(u) - (u - f_x)(f_x^2 + f_y^2)
+    (and the v analogue) from (u, v) = (f_x, f_y), stopping after `iters`
+    steps or when the max-abs residual over all pixels (`gvf_residual`'s)
+    falls below residual_factor * max|grad f|. The step size obeys the full
+    stability bound dt < 2/(8 mu + max g): the diffusion-only CFL value
+    0.25/mu sits exactly on the boundary and lets the reaction term amplify
+    checkerboard noise on strong-gradient inputs.
+
+    The `iters` cap of 200 is the operating point: on the benchmark scenes the
+    residual ends near 1.1e-4 against a tolerance of 1.8e-5, so the stop test
+    does not fire. The steps run strip by strip, bit for bit (see `_jacobi`).
+    """
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be a positive finite number, got {mu!r}")
+    f_xy, g, g_max = _edge_force(e_img)
+    w_uv = f_xy.copy()  # (2, H, W): u then v, updated in place
+    dt = 1.9 / (8.0 * mu + g_max)
+    tol = residual_factor * float(np.sqrt(g_max))
+    done, _ = _jacobi(w_uv, f_xy, g, mu, dt, tol, iters)
     return GvfField(u=w_uv[0], v=w_uv[1], mu=mu, iters=done)
+
+
+def gvf_residual(field: GvfField, e_img: np.ndarray) -> float:
+    """Max-abs GVF residual over all pixels, as `compute_gvf`'s stop test takes it.
+
+    One solver step with dt = 0 on a stacked copy; field.u and field.v stay untouched.
+    """
+    f_xy, g, _ = _edge_force(e_img)
+    _, r_max = _jacobi(np.stack((field.u, field.v)), f_xy, g, field.mu, 0.0, np.inf, 1)
+    return r_max

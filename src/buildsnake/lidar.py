@@ -195,7 +195,12 @@ def extract_boundaries(
     whole cloud's count over its planar bounding-box area, taken before
     ground separation. Returns ([], None, None) when there are no
     non-ground points, and ([], cells, labels) when no segment passes the
-    area filter; segments whose points are collinear are skipped.
+    area filter.
+
+    After an opening of radius >= 1 every segment holds a plus of 5 cells,
+    each with a point of its own. The points in the plus's column and those
+    in its row cannot all lie on one line, so every segment has a hull of at
+    least 3 vertices.
     """
     if density is None:
         xy = cloud.xyz[:, :2]
@@ -222,12 +227,6 @@ def extract_boundaries(
     sorted_label = point_label[order]
     starts = np.flatnonzero(sorted_label[1:] != sorted_label[:-1]) + 1
     ids = sorted_label[np.concatenate(([0], starts))].tolist()
-    hulls = []
-    for bid, seg in zip(ids, np.split(xy[order], starts)):
-        if bid == 0:
-            continue  # background cells
-        try:
-            hulls.append((bid, seg[convex_hull_indices(seg)]))
-        except ValueError:
-            continue  # fewer than 3 points, or collinear: no boundary
+    segments = zip(ids, np.split(xy[order], starts))
+    hulls = [(bid, seg[convex_hull_indices(seg)]) for bid, seg in segments if bid]  # 0: background
     return hulls, cells, labels

@@ -13,17 +13,15 @@ closed form needs no BLAS call and gives the same bits on any thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SnakeConfig
-from .energy import GvfField, compute_gvf, image_energy
+from .energy import compute_gvf, image_energy
 from .geometry import hausdorff_distance, polygon_perimeter
 from .raster import gradient
 
 __all__ = [
-    "ExternalFields",
     "prepare_fields",
     "resample_closed",
     "system_matrix",
@@ -34,15 +32,6 @@ __all__ = [
     "shape_force",
     "run_snake",
 ]
-
-
-@dataclass
-class ExternalFields:
-    """Precomputed per-image fields shared by every snake on that image."""
-
-    force_x: np.ndarray
-    force_y: np.ndarray
-    gvf: GvfField | None = None
 
 
 def _rescale_force(fx: np.ndarray, fy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,22 +47,21 @@ def _rescale_force(fx: np.ndarray, fy: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return fx, fy
 
 
-def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ExternalFields:
-    """Image energy plus the mode's external force field.
+def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The mode's external force on `gray` as a pair (f_x, f_y) of (H, W) arrays.
 
     basic uses the raw potential force -grad(E_img); gvf and proposed use
-    the diffused GVF field in its place. Either field is rescaled to unit
-    peak magnitude before driving the contour.
+    the diffused GVF field in its place. Either is rescaled to unit peak
+    magnitude, the GVF field on copies, so the solved field stays as
+    `compute_gvf` returned it. One pair serves every snake on the image.
     """
     e_img = image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     if cfg.mode == "basic":
         ex, ey = gradient(e_img)
         del e_img
-        fx, fy = _rescale_force(np.negative(ex, out=ex), np.negative(ey, out=ey))
-        return ExternalFields(force_x=fx, force_y=fy)
+        return _rescale_force(np.negative(ex, out=ex), np.negative(ey, out=ey))
     field = compute_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
-    fx, fy = _rescale_force(field.u.copy(), field.v.copy())
-    return ExternalFields(force_x=fx, force_y=fy, gvf=field)
+    return _rescale_force(field.u.copy(), field.v.copy())
 
 
 def resample_closed(points: np.ndarray, n: int) -> np.ndarray:
@@ -146,14 +134,14 @@ def evolve_step(
     return inv_system @ (cfg.gamma * pts + force)
 
 
-def sample_force(fields: ExternalFields, points: np.ndarray) -> np.ndarray:
-    """Bilinear force at each point; zero outside the image bounds.
+def sample_force(force: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
+    """Bilinear (f_x, f_y) of the force pair at each point; zero outside the image bounds.
 
     The corner indices and weights are shared by both force components, and
-    the corners are gathered from the flattened fields.
+    the corners are gathered from each flattened component.
     """
     pts = np.asarray(points, dtype=float)
-    h, w = fields.force_x.shape
+    h, w = force[0].shape
     c = np.clip(pts, 0.0, (w - 1.0, h - 1.0))
     kept = c == pts
     inside = kept[:, 0] & kept[:, 1]
@@ -179,7 +167,7 @@ def sample_force(fields: ExternalFields, points: np.ndarray) -> np.ndarray:
     i10 = i00 + dy
     i11 = i00 + dxy
     out = np.empty((len(pts), 2))
-    for k, field in enumerate((fields.force_x, fields.force_y)):
+    for k, field in enumerate(force):
         flat = field.reshape(-1)
         f = flat[i00] * sx * sy + flat[i01] * tx * sy + flat[i10] * sx * ty + flat[i11] * tx * ty
         np.multiply(f, inside, out=out[:, k])
@@ -277,24 +265,18 @@ def shape_force(
     return np.column_stack([fx, fy])
 
 
-def run_snake(
-    init: np.ndarray,
-    gray: np.ndarray,
-    cfg: SnakeConfig,
-    fields: ExternalFields | None = None,
-) -> np.ndarray:
+def run_snake(init: np.ndarray, force: tuple[np.ndarray, np.ndarray], cfg: SnakeConfig) -> np.ndarray:
     """Evolve a snake from the projected boundary until convergence.
 
     `init` is the (M, 2) pixel array of the boundary; it provides both the
     initial contour and the shape-similarity reference in proposed mode.
-    Returns the final closed contour as (N, 2) pixels.
+    `force` is the image's `prepare_fields` pair, whose (H, W) bounds the
+    contour. Returns the final closed contour as (N, 2) pixels.
     """
     boundary = np.asarray(init, dtype=float)
     if len(boundary) < 3:
         raise ValueError("initial boundary needs at least 3 points")
-    if fields is None:
-        fields = prepare_fields(gray, cfg)
-    h, w = gray.shape
+    h, w = force[0].shape
     n = max(32, int(round(polygon_perimeter(boundary) / 2.0)))
     pts = resample_closed(boundary, n)
     np.clip(pts[:, 0], 0, w - 1, out=pts[:, 0])
@@ -305,10 +287,10 @@ def run_snake(
     inv_system = system_inverse(n, cfg.alpha, cfg.beta, cfg.gamma)
 
     for it in range(1, cfg.max_iters + 1):
-        force = sample_force(fields, pts)
+        f = sample_force(force, pts)
         if cfg.mode == "proposed":
-            force += shape_force(pts, shape_ref, cfg.delta, cfg.shape_weight)
-        new = evolve_step(pts, force, cfg, inv_system=inv_system)
+            f += shape_force(pts, shape_ref, cfg.delta, cfg.shape_weight)
+        new = evolve_step(pts, f, cfg, inv_system=inv_system)
         np.clip(new[:, 0], 0, w - 1, out=new[:, 0])
         np.clip(new[:, 1], 0, h - 1, out=new[:, 1])
         # sqrt is monotone, so this is the largest point displacement exactly.

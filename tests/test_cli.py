@@ -476,6 +476,20 @@ def test_evaluate_self_is_perfect(small_scene_dir, tmp_path):
     assert report["unmatched"] == {"extracted": [], "truth": []}
 
 
+@pytest.mark.parametrize("flag", ["--cell-size", "--distance-scale"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+def test_evaluate_rejects_non_positive_or_non_finite_scale(scene_dir, tmp_path, capsys, flag, value):
+    # A zero, infinite or NaN cell size used to crash with [internal] or
+    # [metrics]; a bad distance scale used to print NaN or Infinity, which
+    # is not JSON, or a negative EDC.
+    out = tmp_path / "report.json"
+    truth = str(scene_dir / "truth.wkt")
+    rc = main(["evaluate", "--extracted", truth, "--truth", truth, f"{flag}={value}", "--out", str(out)])
+    assert rc == 2
+    assert f"error: [config] {flag} must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_shifted_truth_edc(small_scene_dir, tmp_path):
     truth = read_wkts(small_scene_dir / "truth.wkt")
     shifted = tmp_path / "shifted.wkt"

@@ -6,7 +6,6 @@ import pytest
 from buildsnake.config import SnakeConfig
 from buildsnake.energy import (
     TERM_EPS,
-    _laplacian,
     compute_gvf,
     gvf_residual,
     image_energy,
@@ -193,6 +192,17 @@ def test_image_energy_terms_equal_reference(case, quebec_scene):
 # GVF solve against its whole-image reference
 
 
+def _laplacian(f):
+    """5-point Laplacian with edge-replicated borders."""
+    p = np.pad(f, 1, mode="edge")
+    return p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * f
+
+
+def reference_residual(u, v, fx, fy, g, mu):
+    """Whole-image GVF residuals (ru, rv) = mu lap(w) - (w - f) g."""
+    return mu * _laplacian(u) - (u - fx) * g, mu * _laplacian(v) - (v - fy) * g
+
+
 def reference_gvf(e_img, mu=0.2, iters=200, residual_factor=1e-4):
     """Reference GVF solve: whole-image Jacobi steps through np.pad temporaries.
 
@@ -207,8 +217,7 @@ def reference_gvf(e_img, mu=0.2, iters=200, residual_factor=1e-4):
     tol = residual_factor * float(np.sqrt(g.max()))
     done = 0
     for done in range(1, iters + 1):
-        ru = mu * _laplacian(u) - (u - fx) * g
-        rv = mu * _laplacian(v) - (v - fy) * g
+        ru, rv = reference_residual(u, v, fx, fy, g, mu)
         u += dt * ru
         v += dt * rv
         if max(np.abs(ru).max(), np.abs(rv).max()) < tol:
@@ -276,6 +285,23 @@ def test_gvf_equals_reference_on_preset_energy():
     e_img = image_energy(img, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     field = assert_gvf_matches_reference(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
     assert field.iters == cfg.gvf_iters
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 7), (40, 33), (3, 20000), (300, 70)])
+@pytest.mark.parametrize("iters", [0, 3])
+def test_gvf_residual_equals_reference_over_all_pixels(shape, iters):
+    # The residual of the solver's stop test, border pixels included, and
+    # the field it is taken of stays as it was.
+    rng = np.random.default_rng(shape[0] * 131 + shape[1])
+    e_img = rng.normal(0.0, 1.0, shape)
+    field = compute_gvf(e_img, mu=0.3, iters=iters)
+    u, v = field.u.copy(), field.v.copy()
+    fx, fy = gradient(-e_img)
+    ru, rv = reference_residual(u, v, fx, fy, fx * fx + fy * fy, 0.3)
+    got = gvf_residual(field, e_img)
+    assert got == max(np.abs(ru).max(), np.abs(rv).max())
+    assert field.u.tobytes() == u.tobytes()
+    assert field.v.tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9)])

@@ -347,6 +347,22 @@ def test_boundary_xy_convex():
         assert (a[0] - o[0]) * (c[1] - o[1]) - (a[1] - o[1]) * (c[0] - o[0]) > 0
 
 
+def test_every_opened_segment_has_a_hull():
+    # One point in each cell of a plus, the least a radius-1 opening keeps,
+    # with a point at the grid origin that the opening removes. The points
+    # of the plus's column and of its row never lie on one line, so
+    # extract_boundaries needs no skip for collinear segments.
+    plus = np.array([[1, 1], [1, 0], [1, 2], [0, 1], [2, 1]])  # (x, y) cells
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        shift = rng.integers(-10**6, 10**6, 2)
+        # Binary fractions, on cell edges too, keep every point in its cell.
+        xy = shift + np.vstack([plus + rng.integers(0, 1024, (5, 2)) / 1024, [0.0, 0.0]])
+        hulls, _, _ = extract_boundaries(with_ground(make_cloud(xy, 5.0)), density=2.0, min_area_m2=0.0)
+        assert len(hulls) == 1
+        assert len(hulls[0][1]) >= 3
+
+
 def reference_boundaries(nonground: PointCloud3D, grid, labels) -> list[tuple[int, np.ndarray]]:
     """The grouping as one masked cloud per label, each hulled in xy."""
     row, col = grid.cell_index(nonground.xyz[:, :2])

@@ -10,7 +10,6 @@ from buildsnake.energy import compute_gvf, image_energy
 from buildsnake.geometry import GridSpec, polygon_perimeter, rasterize_polygon
 from buildsnake.raster import gradient
 from buildsnake.snake import (
-    ExternalFields,
     prepare_fields,
     evolve_step,
     resample_closed,
@@ -266,14 +265,14 @@ def _reference_bilinear(field, x, y):
     )
 
 
-def reference_sample_force(fields, points):
+def reference_sample_force(force, points):
     """Reference sampler: one 2-D bilinear lookup per force component."""
     pts = np.asarray(points, dtype=float)
-    h, w = fields.force_x.shape
+    h, w = force[0].shape
     x, y = pts[:, 0], pts[:, 1]
     inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    fx = _reference_bilinear(fields.force_x, x, y) * inside
-    fy = _reference_bilinear(fields.force_y, x, y) * inside
+    fx = _reference_bilinear(force[0], x, y) * inside
+    fy = _reference_bilinear(force[1], x, y) * inside
     return np.column_stack([fx, fy])
 
 
@@ -317,17 +316,17 @@ def test_sample_force_equals_reference(shape, values):
         f.flat[1:2] = 1.0
         return f
 
-    fields = ExternalFields(force_x=field(), force_y=field())
+    force = (field(), field())
     pts = _sample_points(rng, h, w)
-    assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
+    assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
 
 
 def test_sample_force_equals_reference_on_non_contiguous_fields():
     rng = np.random.default_rng(8)
     fx = rng.normal(0.0, 1.0, (30, 20)).T
-    fields = ExternalFields(force_x=fx, force_y=fx[::-1])
+    force = (fx, fx[::-1])
     pts = _sample_points(rng, 20, 30)
-    assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
+    assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
 
 
 def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypatch):
@@ -335,15 +334,15 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
     _, img, cloud, _, t = quebec_scene
     calls = []
 
-    def recording(fields, points):
-        calls.append((fields, points.copy()))
-        return sample_force(fields, points)
+    def recording(force, points):
+        calls.append((force, points.copy()))
+        return sample_force(force, points)
 
     monkeypatch.setattr(snake_module, "sample_force", recording)
     extract_buildings(img, cloud, t, SnakeConfig(mode="gvf", max_iters=20))
     assert len(calls) >= 20
-    for fields, pts in calls:
-        assert sample_force(fields, pts).tobytes() == reference_sample_force(fields, pts).tobytes()
+    for force, pts in calls:
+        assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
 
 
 def reference_prepare_fields(gray, cfg):
@@ -363,19 +362,27 @@ def reference_prepare_fields(gray, cfg):
 
 @pytest.mark.parametrize("mode", ["basic", "gvf"])
 @pytest.mark.parametrize("case", ["random", "constant"])
-def test_prepare_fields_equals_reference(mode, case):
+def test_prepare_fields_equals_reference(mode, case, monkeypatch):
     rng = np.random.default_rng(3)
     gray = rng.uniform(0, 255, (30, 41)) if case == "random" else np.full((12, 10), 40.0)
     cfg = SnakeConfig(mode=mode, sigma=2.0, gvf_iters=15)
-    fields = prepare_fields(gray, cfg)
+    solved_fields = []
+
+    def capturing(*args, **kwargs):
+        solved_fields.append(compute_gvf(*args, **kwargs))
+        return solved_fields[-1]
+
+    monkeypatch.setattr(snake_module, "compute_gvf", capturing)
+    got_x, got_y = prepare_fields(gray, cfg)
     fx, fy = reference_prepare_fields(gray, cfg)
-    assert fields.force_x.tobytes() == fx.tobytes()
-    assert fields.force_y.tobytes() == fy.tobytes()
+    assert got_x.tobytes() == fx.tobytes()
+    assert got_y.tobytes() == fy.tobytes()
+    assert len(solved_fields) == (mode == "gvf")
     if mode == "gvf":
         # The rescale leaves the solved field itself untouched.
         solved = compute_gvf(image_energy(gray, sigma=2.0), mu=cfg.mu, iters=15)
-        assert fields.gvf.u.tobytes() == solved.u.tobytes()
-        assert fields.gvf.v.tobytes() == solved.v.tobytes()
+        assert solved_fields[0].u.tobytes() == solved.u.tobytes()
+        assert solved_fields[0].v.tobytes() == solved.v.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +512,8 @@ def rect_scene():
 def test_run_snake_high_contrast_rectangle(rect_scene):
     grid, truth, img = rect_scene
     init = truth + np.array([3.0, 0.0])
-    snake = run_snake(init, img, SnakeConfig(mode="proposed"))
+    cfg = SnakeConfig(mode="proposed")
+    snake = run_snake(init, prepare_fields(img, cfg), cfg)
     assert pixel_iou(snake, truth, grid) >= 95.0
 
 
@@ -513,7 +521,7 @@ def test_run_snake_on_edge_stays_put(rect_scene):
     grid, truth, img = rect_scene
     cfg = SnakeConfig(mode="gvf", sigma=2.0)
     init = resample_closed(truth, 240)
-    snake = run_snake(init, img, cfg)
+    snake = run_snake(init, prepare_fields(img, cfg), cfg)
     ref = resample_closed(truth, len(snake))
     rms = float(np.sqrt(((snake - ref) ** 2).sum(axis=1).mean()))
     assert rms <= 1.0
@@ -523,14 +531,15 @@ def test_run_snake_deterministic(rect_scene):
     grid, truth, img = rect_scene
     init = truth + np.array([2.0, -1.0])
     cfg = SnakeConfig(mode="proposed")
-    a = run_snake(init, img, cfg)
-    b = run_snake(init, img, cfg)
+    a = run_snake(init, prepare_fields(img, cfg), cfg)
+    b = run_snake(init, prepare_fields(img, cfg), cfg)
     assert np.array_equal(a, b)
 
 
 def test_run_snake_point_count_rule(rect_scene):
     _, truth, img = rect_scene
-    snake = run_snake(truth, img, SnakeConfig(mode="basic", max_iters=1))
+    cfg = SnakeConfig(mode="basic", max_iters=1)
+    snake = run_snake(truth, prepare_fields(img, cfg), cfg)
     expected = max(32, round(polygon_perimeter(truth) / 2.0))
     assert len(snake) == expected
 
@@ -552,6 +561,7 @@ def test_basic_below_proposed_on_low_contrast_building(mode_results, quebec_scen
 
 
 def test_run_snake_rejects_tiny_init():
-    img = np.full((32, 32), 50.0)
+    cfg = SnakeConfig()
+    force = prepare_fields(np.full((32, 32), 50.0), cfg)
     with pytest.raises(ValueError):
-        run_snake(np.array([[1.0, 1.0], [2.0, 2.0]]), img, SnakeConfig())
+        run_snake(np.array([[1.0, 1.0], [2.0, 2.0]]), force, cfg)
