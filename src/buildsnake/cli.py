@@ -268,8 +268,8 @@ def cmd_synth(args) -> int:
     else:
         try:
             spec = _parse_file(args.spec, "spec", lambda p: synthetic.SceneSpec.from_json(_text(p)))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"[spec] invalid scene spec: {exc}") from exc
+        except TypeError as exc:  # a missing or unknown key, or a non-object where one belongs
+            raise ConfigError(f"[spec] {args.spec}: invalid scene spec: {exc}") from exc
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     img, cloud, truth, t = synthetic.generate_scene(spec)

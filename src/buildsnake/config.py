@@ -9,6 +9,20 @@ from dataclasses import dataclass
 MODES = ("basic", "gvf", "proposed")
 
 
+def as_number(name: str, value, integer: bool = False) -> float | int:
+    """Real, non-bool, finite `value` as a float, or as an int if `integer` (40.0 -> 40); else ValueError."""
+    if integer:
+        integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not integral:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class SnakeConfig:
     """Every `extract` parameter, with empirically tuned defaults."""
@@ -42,15 +56,9 @@ class SnakeConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, int):
-                integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-                if isinstance(value, bool) or not integral:
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-                setattr(self, f.name, int(value))
+                setattr(self, f.name, as_number(f.name, value, integer=True))
             elif isinstance(f.default, float) or f.default is None and value is not None:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
-                    raise ValueError(f"{f.name} must be a number, got {value!r}")
-                if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+                as_number(f.name, value)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.gamma <= 0:

@@ -82,12 +82,12 @@ class OrientedRect:
         return rotate_points(local, self.angle_deg) + np.asarray(self.center)
 
 
-def _as_points(points) -> np.ndarray:
+def _as_points(points, name: str = "coordinates") -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected (N, 2) coordinates, got shape {pts.shape}")
+        raise ValueError(f"expected (N, 2) {name}, got shape {pts.shape}")
     if not np.isfinite(pts).all():
-        raise ValueError("coordinates must be finite")
+        raise ValueError(f"{name} must be finite")
     return pts
 
 

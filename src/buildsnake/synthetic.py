@@ -7,13 +7,16 @@ transform including a controllable misalignment offset.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import as_number
 from .geometry import (
     GridSpec,
+    _as_points,
     dominant_angle,
     points_in_polygon,
     polygon_centroid,
@@ -28,6 +31,24 @@ BUILDING_CLASS = 6
 TERRAIN_NOISE_M = 0.3
 
 
+def _pair(name: str, value, integer: bool = False) -> tuple:
+    if np.ndim(value) != 1 or len(value) != 2:
+        raise ValueError(f"{name} must hold two numbers, got {value!r}")
+    return tuple(as_number(name, v, integer) for v in value)
+
+
+def _ring(name: str, points) -> np.ndarray:
+    pts = _as_points(points, f"{name} coordinates")
+    if len(pts) < 3:
+        raise ValueError(f"{name} needs at least 3 vertices, got {len(pts)}")
+    return pts
+
+
+def _jsonable(pairs) -> dict:
+    """`dataclasses.asdict` factory: arrays become lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in pairs}
+
+
 @dataclass
 class BuildingSpec:
     shape: str                      # rect | L | U | gabled
@@ -36,7 +57,9 @@ class BuildingSpec:
     height: float
 
     def __post_init__(self):
-        self.footprint = np.asarray(self.footprint, dtype=float)
+        self.footprint = _ring("footprint", self.footprint)
+        self.gray = as_number("gray", self.gray) if np.ndim(self.gray) == 0 else _pair("gray", self.gray)
+        self.height = as_number("height", self.height)
         if self.shape == "gabled" and np.isscalar(self.gray):
             raise ValueError("gabled buildings need two gray tones")
 
@@ -47,7 +70,8 @@ class ShadowSpec:
     gray: float
 
     def __post_init__(self):
-        self.polygon = np.asarray(self.polygon, dtype=float)
+        self.polygon = _ring("polygon", self.polygon)
+        self.gray = as_number("gray", self.gray)
 
 
 @dataclass
@@ -63,10 +87,19 @@ class SceneSpec:
     shadows: list[ShadowSpec] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.lidar_density <= 0:
-            raise ValueError("lidar_density must be positive")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        self.size = _pair("size", self.size, integer=True)
+        self.misalignment = _pair("misalignment", self.misalignment)
+        for name in ("resolution", "background_gray", "noise_sigma", "lidar_density"):
+            setattr(self, name, as_number(name, getattr(self, name)))
+        self.seed = as_number("seed", self.seed, integer=True)
+        self.buildings = [b if isinstance(b, BuildingSpec) else BuildingSpec(**b) for b in self.buildings]
+        self.shadows = [s if isinstance(s, ShadowSpec) else ShadowSpec(**s) for s in self.shadows]
+        for name in ("size", "resolution", "lidar_density"):
+            if min(np.atleast_1d(getattr(self, name))) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("noise_sigma", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         w = self.size[0] * self.resolution
         h = self.size[1] * self.resolution
         for b in self.buildings:
@@ -75,52 +108,11 @@ class SceneSpec:
                 raise ValueError("building footprint extends outside the scene")
 
     def to_dict(self) -> dict:
-        return {
-            "size": list(self.size),
-            "resolution": self.resolution,
-            "background_gray": self.background_gray,
-            "noise_sigma": self.noise_sigma,
-            "lidar_density": self.lidar_density,
-            "misalignment": list(self.misalignment),
-            "seed": self.seed,
-            "buildings": [
-                {
-                    "shape": b.shape,
-                    "footprint": np.asarray(b.footprint).tolist(),
-                    "gray": list(b.gray) if not np.isscalar(b.gray) else b.gray,
-                    "height": b.height,
-                }
-                for b in self.buildings
-            ],
-            "shadows": [
-                {"polygon": np.asarray(s.polygon).tolist(), "gray": s.gray} for s in self.shadows
-            ],
-        }
+        return dataclasses.asdict(self, dict_factory=_jsonable)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
-        return cls(
-            size=tuple(d["size"]),
-            resolution=float(d["resolution"]),
-            background_gray=float(d.get("background_gray", 80.0)),
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            lidar_density=float(d.get("lidar_density", 2.0)),
-            misalignment=tuple(d.get("misalignment", (0.0, 0.0))),
-            seed=int(d.get("seed", 0)),
-            buildings=[
-                BuildingSpec(
-                    shape=b["shape"],
-                    footprint=b["footprint"],
-                    gray=tuple(b["gray"]) if isinstance(b["gray"], (list, tuple)) else float(b["gray"]),
-                    height=float(b["height"]),
-                )
-                for b in d["buildings"]
-            ],
-            shadows=[
-                ShadowSpec(polygon=s["polygon"], gray=float(s["gray"]))
-                for s in d.get("shadows", [])
-            ],
-        )
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
@@ -129,7 +121,7 @@ class SceneSpec:
 
 def _render_roof(img: np.ndarray, mask: np.ndarray, b: BuildingSpec, res: float):
     if np.isscalar(b.gray):
-        img[mask] = float(b.gray)
+        img[mask] = b.gray
         return
     # Two-tone gable: split along the ridge through the footprint centroid.
     ridge = np.deg2rad(dominant_angle(b.footprint))
@@ -137,8 +129,8 @@ def _render_roof(img: np.ndarray, mask: np.ndarray, b: BuildingSpec, res: float)
     cx, cy = polygon_centroid(b.footprint / res)
     rows, cols = np.nonzero(mask)
     side = (cols + 0.5 - cx) * normal[0] + (rows + 0.5 - cy) * normal[1]
-    img[rows[side >= 0], cols[side >= 0]] = float(b.gray[0])
-    img[rows[side < 0], cols[side < 0]] = float(b.gray[1])
+    img[rows[side >= 0], cols[side >= 0]] = b.gray[0]
+    img[rows[side < 0], cols[side < 0]] = b.gray[1]
 
 
 def generate_scene(spec: SceneSpec):
@@ -148,17 +140,15 @@ def generate_scene(spec: SceneSpec):
     rng = np.random.default_rng(spec.seed)
     pixel_grid = GridSpec(origin=(0.0, 0.0), cell_size=1.0, width=w, height=h)
 
-    img = np.full((h, w), float(spec.background_gray))
+    img = np.full((h, w), spec.background_gray)
     for s in spec.shadows:
-        img[rasterize_polygon(s.polygon / res, pixel_grid)] = float(s.gray)
+        img[rasterize_polygon(s.polygon / res, pixel_grid)] = s.gray
     truth = []
-    footprint_masks = []
     for b in spec.buildings:
         fp_px = b.footprint / res
         mask = rasterize_polygon(fp_px, pixel_grid)
         _render_roof(img, mask, b, res)
         truth.append(fp_px)
-        footprint_masks.append(mask)
     if spec.noise_sigma > 0:
         img = img + rng.normal(0.0, spec.noise_sigma, img.shape)
     img = np.clip(img, 0.0, 255.0)

@@ -82,6 +82,86 @@ def test_synth_invalid_json_exits_2(tmp_path):
     assert main(["synth", "--spec", str(bad), "--outdir", str(tmp_path / "out")]) == 2
 
 
+def synth_spec_dict(tmp_path, capsys, d) -> tuple[int, str]:
+    """Run `synth --spec` on the JSON of `d`: (exit code, stderr)."""
+    (tmp_path / "spec.json").write_text(json.dumps(d), encoding="utf-8")
+    rc = main(["synth", "--spec", str(tmp_path / "spec.json"), "--outdir", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err
+
+
+def preset_dict_with(path, value) -> dict:
+    """The preset's spec dict with the entry at `path` (keys and list indices) set to `value`."""
+    d = quebec_like_spec().to_dict()
+    *parents, last = path
+    node = d
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return d
+
+
+@pytest.mark.parametrize(
+    "path, key",
+    [
+        (("lidar_densty",), "lidar_densty"),
+        (("buildings", 0, "roof"), "roof"),
+        (("shadows", 0, "opacity"), "opacity"),
+    ],
+    ids=["scene", "building", "shadow"],
+)
+def test_synth_unknown_spec_key_exits_2(tmp_path, capsys, path, key):
+    rc, err = synth_spec_dict(tmp_path, capsys, preset_dict_with(path, 5))
+    assert rc == 2
+    assert "[spec]" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("size",), [256.5, 256], "size"),
+        (("resolution",), NAN, "resolution"),
+        (("lidar_density",), NAN, "lidar_density"),
+        (("seed",), -1, "seed"),
+        (("misalignment",), [NAN, 0], "misalignment"),
+        (("buildings", 0, "height"), NAN, "height"),
+        (("buildings", 0, "footprint"), [[6.0, 8.0], [22.0, 8.0]], "footprint"),
+        (("shadows", 0, "polygon"), [[53.5, 40.0], [56.5, 40.0]], "polygon"),
+        (("noise_sigma",), -1, "noise_sigma"),
+        (("noise_sigma",), NAN, "noise_sigma"),
+        (("buildings", 0, "gray"), NAN, "gray"),
+        (("shadows", 0, "gray"), NAN, "gray"),
+        (("buildings", 4, "gray"), [160.0, 200.0, 220.0], "gray"),
+    ],
+    ids=["size-fraction", "resolution-nan", "lidar_density-nan", "seed-negative", "misalignment-nan",
+         "height-nan", "footprint-2-vertices", "shadow-2-vertices", "noise_sigma-negative", "noise_sigma-nan",
+         "building-gray-nan", "shadow-gray-nan", "gray-3-tones"],
+)
+def test_synth_malformed_spec_value_exits_2(tmp_path, capsys, path, value, field):
+    rc, err = synth_spec_dict(tmp_path, capsys, preset_dict_with(path, value))
+    assert rc == 2
+    assert f"[spec] {tmp_path / 'spec.json'}: {field} " in err
+    assert "[internal]" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "d, text",
+    [
+        ({k: v for k, v in quebec_like_spec().to_dict().items() if k != "resolution"}, "'resolution'"),
+        (preset_dict_with(("resolution",), "fine"), "resolution must be a number, got 'fine'"),
+    ],
+    ids=["missing-key", "non-numeric-string"],
+)
+def test_synth_missing_key_or_string_value_exits_2(tmp_path, capsys, d, text):
+    rc, err = synth_spec_dict(tmp_path, capsys, d)
+    assert rc == 2
+    assert "[spec]" in err and text in err
+
+
 # ---------------------------------------------------------------------------
 # extract
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -115,12 +117,37 @@ def test_gabled_two_tone_split():
     assert vals == {160.0, 200.0}
 
 
-def test_spec_json_round_trip():
-    spec = quebec_like_spec()
-    again = SceneSpec.from_dict(spec.to_dict())
-    a_img, _, _, _ = generate_scene(spec)
-    b_img, _, _, _ = generate_scene(again)
-    assert np.array_equal(a_img, b_img)
+RECT = [[3, 3], [12, 3], [12, 9], [3, 9]]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        quebec_like_spec(),
+        # No shadows key, every number an int.
+        SceneSpec.from_dict(
+            {"size": [96, 64], "resolution": 1, "buildings": [{"shape": "rect", "footprint": RECT, "gray": 180, "height": 6}],
+             "background_gray": 80, "noise_sigma": 3, "lidar_density": 1, "misalignment": [1, -2], "seed": 4}
+        ),
+        SceneSpec.from_dict(
+            {"size": [128, 96], "resolution": 0.15,
+             "buildings": [{"shape": "gabled", "footprint": RECT, "gray": [160.0, 200.0], "height": 7.5}]}
+        ),
+    ],
+    ids=["preset", "int-values-no-shadows", "gabled"],
+)
+def test_spec_json_round_trip(spec):
+    text = json.dumps(spec.to_dict(), sort_keys=True)
+    again = SceneSpec.from_json(text)
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
+    d = json.loads(text)
+    assert {type(d[k]) for k in ("resolution", "background_gray", "noise_sigma", "lidar_density")} == {float}
+    (a_img, a_cloud, a_truth, a_t), (b_img, b_cloud, b_truth, b_t) = generate_scene(spec), generate_scene(again)
+    assert a_img.tobytes() == b_img.tobytes()
+    assert a_cloud.xyz.tobytes() == b_cloud.xyz.tobytes()
+    assert a_cloud.classes.tobytes() == b_cloud.classes.tobytes()
+    assert [p.tobytes() for p in a_truth] == [p.tobytes() for p in b_truth]
+    assert a_t == b_t
 
 
 def test_out_of_scene_footprint_rejected():
