@@ -16,11 +16,17 @@ def as_number(name: str, value, integer: bool = False) -> float | int:
         if isinstance(value, bool) or not integral:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if math.isnan(number):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 @dataclass

@@ -182,6 +182,14 @@ def shape_sim_energy(snake: np.ndarray, boundary: np.ndarray, delta: float) -> f
     return float(1.0 - np.exp(-(d * d) / delta))
 
 
+def _square_up(t):
+    """An upper bound on t * t: every q whose rounded root is <= t has q <= it.
+
+    The relative 1e-12 is far above the rounding of the square and of a root.
+    """
+    return t * t * (1.0 + 1e-12)
+
+
 def shape_force(
     snake: np.ndarray,
     boundary: np.ndarray,
@@ -195,14 +203,37 @@ def shape_force(
     Hausdorff distance to the boundary is taken for each of the four moved
     contours. A move of point i changes only row i of the distance matrix
     d[i, j] = |a_i - b_j|, and by the triangle inequality changes each entry
-    by at most step. So the moved row's minimum can only come from pairs with
-    d[i, j] <= rowmin[i] + 2 reach, and column j can only fall below its
-    minimum colmin[j] at pairs with d[i, j] < colmin[j] + reach, where
-    reach = step plus a slack far above the rounding error of the distances.
-    Moved distances are computed only on those pairs; every other column
+    by at most step. Let reach = step plus a slack far above the rounding
+    error of the distances, and hd = max(rowmin.max(), colmin.max()) the
+    unmoved Hausdorff distance.
+
+    Row i is active if rowmin[i] >= hd - reach, or if d[i, j] < colmin[j] +
+    reach for a column with colmin[j] >= hd - reach. An inactive row cannot
+    move the distance. Its moved row minimum stays below rowmin[i] + reach
+    < hd. A column it holds the minimum of has colmin[j] < hd - reach, so
+    it stays below hd. Every other column keeps a value <= colmin[j] <= hd,
+    and keeps colmin[j] exactly if colmin[j] >= hd - reach, since the move
+    cannot bring row i below it. The row or column that attains hd is
+    therefore left at hd. All four moves give hd, bit for bit, and the force
+    is the zero difference -weight * 0.0 / (2 step), sign included, that the
+    full computation gives.
+
+    Only the active rows are moved. The moved row's minimum can only come
+    from pairs with d[i, j] <= rowmin[i] + 2 reach, and column j can only
+    fall below colmin[j] at pairs with d[i, j] < colmin[j] + reach. Moved
+    distances are computed only on those pairs; every other column
     contributes exactly colmin[j] to the directed distance boundary -> snake.
-    Min and max are exact, and a pair admitted needlessly cannot change them,
-    so the result is the same, bit for bit, as moving every pair.
+    Min and max are exact, and a pair or row admitted needlessly cannot
+    change them, so the result is the same, bit for bit, as moving every
+    pair of every row.
+
+    Only minima of the squared distances q = dx * dx + dy * dy are rooted:
+    sqrt is monotone and correctly rounded, so the root of a minimum is the
+    minimum of the roots. Where rows tie on a rooted column minimum but not
+    on q, colarg may pick another of them than an argmin on d would; colmin2
+    then equals colmin, so the column minima with row i removed are the same.
+    Each test d <= t is made as q <= `_square_up(t)`, a bound squared from
+    above, so it admits a superset of the pairs and rows the test on d admits.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -215,37 +246,46 @@ def shape_force(
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("snake and boundary must be finite")
     n, m = len(a), len(b)
-    cols = np.arange(m)
-    # d = sqrt(dx * dx + dy * dy), built in place to skip n x m temporaries.
-    d = np.subtract.outer(a[:, 0], b[:, 0])
-    d *= d
+    # q = dx * dx + dy * dy, built in place to skip n x m temporaries.
+    q = np.subtract.outer(a[:, 0], b[:, 0])
+    q *= q
     dy = np.subtract.outer(a[:, 1], b[:, 1])
     dy *= dy
-    d += dy
-    np.sqrt(d, out=d)
+    q += dy
 
-    rowmin = d.min(axis=1)
+    rowmin = np.sqrt(q.min(axis=1))
+    colarg = q.argmin(axis=0)
+    colmin = np.sqrt(q[colarg, np.arange(m)])
+    hd = max(rowmin.max(), colmin.max())
+    # Distances round off by ~1e-16 of the coordinate scale; the slack is ample.
+    reach = step + 1e-9 * (1.0 + step + max(np.abs(a).max(), np.abs(b).max()))
+    # The rows whose moves can change hd; every other row's force is an exact zero.
+    active = rowmin >= hd - reach
+    top = np.flatnonzero(colmin >= hd - reach)
+    active |= (q[:, top] <= _square_up(colmin[top] + reach)).any(axis=1)
+    rows = np.flatnonzero(active)
+
     i1 = int(np.argmax(rowmin))
     masked = rowmin.copy()
     masked[i1] = -np.inf
     second = masked.max() if n > 1 else -np.inf
-    excl_rowmax = np.full(n, rowmin[i1])
-    excl_rowmax[i1] = second
+    excl_rowmax = np.where(rows == i1, second, rowmin[i1])
 
-    colarg = d.argmin(axis=0)
-    colmin = d[colarg, cols]
-    # Distances round off by ~1e-16 of the coordinate scale; the slack is ample.
-    reach = step + 1e-9 * (1.0 + step + max(np.abs(a).max(), np.abs(b).max()))
-    near = (d <= (rowmin + 2.0 * reach)[:, None]) | (d < colmin + reach)
+    qr = q[rows]
+    near = (qr <= _square_up(rowmin[rows] + 2.0 * reach)[:, None]) | (qr <= _square_up(colmin + reach))
     # Largest column minimum among the columns row i's move cannot lower.
     outside = np.where(near, -np.inf, colmin).max(axis=1)
-    # Second-smallest entry of each column; d is not needed after this.
-    d[colarg, cols] = np.inf
-    colmin2 = d.min(axis=0)
+    # Second-smallest entry of each column, needed only where colarg[j] moves.
+    held = np.flatnonzero(active[colarg])
+    rest = q[:, held]
+    rest[colarg[held], np.arange(len(held))] = np.inf
+    colmin2 = colmin.copy()
+    colmin2[held] = np.sqrt(rest.min(axis=0))
 
     # Each row keeps at least its own minimum, so every reduceat run is non-empty.
-    ii, jj = np.divmod(np.flatnonzero(near), m)
-    starts = np.searchsorted(ii, np.arange(n))
+    k, jj = np.divmod(np.flatnonzero(near), m)
+    starts = np.searchsorted(k, np.arange(len(rows)))
+    ii = rows[k]
     # Column minima as seen with row i removed.
     excl_colmin = np.where(colarg[jj] == ii, colmin2[jj], colmin[jj])
 
@@ -260,9 +300,10 @@ def shape_force(
     d_ba = np.maximum(outside, np.maximum.reduceat(np.minimum(excl_colmin, newrows), starts, axis=1))
     dh = np.maximum(d_ab, d_ba)
     e = 1.0 - np.exp(-(dh * dh) / delta)
-    fx = -weight * (e[0] - e[1]) / (2.0 * step)
-    fy = -weight * (e[2] - e[3]) / (2.0 * step)
-    return np.column_stack([fx, fy])
+    force = np.full((n, 2), -weight * 0.0 / (2.0 * step), dtype=float)
+    force[rows, 0] = -weight * (e[0] - e[1]) / (2.0 * step)
+    force[rows, 1] = -weight * (e[2] - e[3]) / (2.0 * step)
+    return force
 
 
 def run_snake(init: np.ndarray, force: tuple[np.ndarray, np.ndarray], cfg: SnakeConfig) -> np.ndarray:

@@ -92,6 +92,9 @@ class SceneSpec:
         for name in ("resolution", "background_gray", "noise_sigma", "lidar_density"):
             setattr(self, name, as_number(name, getattr(self, name)))
         self.seed = as_number("seed", self.seed, integer=True)
+        for name in ("buildings", "shadows"):
+            if not isinstance(getattr(self, name), list):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         self.buildings = [b if isinstance(b, BuildingSpec) else BuildingSpec(**b) for b in self.buildings]
         self.shadows = [s if isinstance(s, ShadowSpec) else ShadowSpec(**s) for s in self.shadows]
         for name in ("size", "resolution", "lidar_density"):

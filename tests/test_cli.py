@@ -135,10 +135,15 @@ NAN = float("nan")
         (("buildings", 0, "gray"), NAN, "gray"),
         (("shadows", 0, "gray"), NAN, "gray"),
         (("buildings", 4, "gray"), [160.0, 200.0, 220.0], "gray"),
+        (("noise_sigma",), 10**400, "noise_sigma"),
+        (("buildings",), 5, "buildings"),
+        (("shadows",), None, "shadows"),
+        (("shadows",), quebec_like_spec().to_dict()["shadows"][0], "shadows"),
     ],
     ids=["size-fraction", "resolution-nan", "lidar_density-nan", "seed-negative", "misalignment-nan",
          "height-nan", "footprint-2-vertices", "shadow-2-vertices", "noise_sigma-negative", "noise_sigma-nan",
-         "building-gray-nan", "shadow-gray-nan", "gray-3-tones"],
+         "building-gray-nan", "shadow-gray-nan", "gray-3-tones", "noise_sigma-401-digits",
+         "buildings-int", "shadows-null", "shadows-object"],
 )
 def test_synth_malformed_spec_value_exits_2(tmp_path, capsys, path, value, field):
     rc, err = synth_spec_dict(tmp_path, capsys, preset_dict_with(path, value))
@@ -370,7 +375,8 @@ def test_extract_bad_config_value_exits_2(small_scene_dir, tmp_path):
     + [("flag", "mu", "inf"), ("flag", "sigma", "inf")]
     # Float keys from JSON must be real numbers: no strings, null or booleans.
     + [("config", "w_line", "abc"), ("config", "shape_weight", None), ("config", "epsilon", True)]
-    + [("config", "density", True), ("config", "alpha", "0.5")],
+    + [("config", "density", True), ("config", "alpha", "0.5")]
+    + [pytest.param("config", "alpha", 10**400, id="config-alpha-401-digits")],
 )
 def test_extract_invalid_pipeline_value_exits_2(small_scene_dir, tmp_path, capsys, source, key, value):
     argv = [

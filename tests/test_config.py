@@ -27,6 +27,7 @@ from buildsnake.config import SnakeConfig
         ("density", True, "density must be a number, got True"),
         ("alpha", "0.5", "alpha must be a number, got '0.5'"),
         ("density", "2", "density must be a number, got '2'"),
+        pytest.param("alpha", 10**400, f"alpha must be finite, got {10**400}", id="alpha-401-digits"),
     ],
 )
 def test_invalid_value_raises(key, value, message):
