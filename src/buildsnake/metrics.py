@@ -25,15 +25,19 @@ __all__ = [
 
 
 def grid_covering(polygons, cell_size: float, margin: float = 1.0) -> GridSpec:
-    """Smallest grid at cell_size covering all polygons plus a margin."""
+    """Smallest grid on the cell_size lattice covering all polygons plus a margin.
+
+    The origin and the far edge are whole multiples of cell_size, so at
+    cell_size 1 the cells are the image's pixels.
+    """
     pts = np.vstack([np.asarray(p, dtype=float) for p in polygons])
-    minx, miny = pts.min(axis=0) - margin
-    maxx, maxy = pts.max(axis=0) + margin
+    lo = np.floor((pts.min(axis=0) - margin) / cell_size)
+    hi = np.ceil((pts.max(axis=0) + margin) / cell_size)
     return GridSpec(
-        origin=(float(minx), float(miny)),
+        origin=(float(lo[0] * cell_size), float(lo[1] * cell_size)),
         cell_size=cell_size,
-        width=int(np.ceil((maxx - minx) / cell_size)),
-        height=int(np.ceil((maxy - miny) / cell_size)),
+        width=int(hi[0] - lo[0]),
+        height=int(hi[1] - lo[1]),
     )
 
 

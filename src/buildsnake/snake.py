@@ -135,42 +135,32 @@ def evolve_step(
 
 
 def sample_force(force: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
-    """Bilinear (f_x, f_y) of the force pair at each point; zero outside the image bounds.
+    """Bilinear (f_x, f_y) of the force pair at each point inside the image.
 
-    The corner indices and weights are shared by both force components, and
-    the corners are gathered from each flattened component.
+    Both components share the corner indices and weights, and the corners are
+    gathered from each flattened component. `run_snake` keeps every point in
+    [0, W - 1] x [0, H - 1]; a point outside uses its nearest border cell, so
+    its value is that cell's bilinear form extrapolated.
     """
     pts = np.asarray(points, dtype=float)
     h, w = force[0].shape
-    c = np.clip(pts, 0.0, (w - 1.0, h - 1.0))
-    kept = c == pts
-    inside = kept[:, 0] & kept[:, 1]
-    # Coordinates in range are used as given: the clip would turn -0.0 into
-    # 0.0, and the sign of a zero weight shows in a zero force.
-    np.copyto(c, pts, where=kept)
-    # c >= 0, so truncation is floor. The upper bound first: a field one pixel
-    # wide or high then gets corner 0 from the lower bound.
-    corner = c.astype(np.intp)
+    if h < 2 or w < 2:
+        raise ValueError(f"force field must be at least 2x2, got {h}x{w}")
+    # Truncation is floor for points >= 0; the lower bound keeps any other
+    # point off a wrapped index.
+    corner = pts.astype(np.intp)
     np.minimum(corner, (w - 2, h - 2), out=corner)
     np.maximum(corner, 0, out=corner)
-    t = c - corner
+    t = pts - corner
     s = 1 - t
     tx, ty = t[:, 0], t[:, 1]
     sx, sy = s[:, 0], s[:, 1]
-    # Flat offsets of the right, lower and diagonal corners. A field one pixel
-    # wide or high has no second column or row; those corners reuse i00.
-    dx = 1 if w > 1 else 0
-    dy = w if h > 1 else 0
-    dxy = dx + dy if dx and dy else 0
     i00 = corner[:, 1] * w + corner[:, 0]
-    i01 = i00 + dx
-    i10 = i00 + dy
-    i11 = i00 + dxy
+    i01, i10, i11 = i00 + 1, i00 + w, i00 + w + 1
     out = np.empty((len(pts), 2))
     for k, field in enumerate(force):
         flat = field.reshape(-1)
-        f = flat[i00] * sx * sy + flat[i01] * tx * sy + flat[i10] * sx * ty + flat[i11] * tx * ty
-        np.multiply(f, inside, out=out[:, k])
+        out[:, k] = flat[i00] * sx * sy + flat[i01] * tx * sy + flat[i10] * sx * ty + flat[i11] * tx * ty
     return out
 
 
@@ -312,16 +302,18 @@ def run_snake(init: np.ndarray, force: tuple[np.ndarray, np.ndarray], cfg: Snake
     `init` is the (M, 2) pixel array of the boundary; it provides both the
     initial contour and the shape-similarity reference in proposed mode.
     `force` is the image's `prepare_fields` pair, whose (H, W) bounds the
-    contour. Returns the final closed contour as (N, 2) pixels.
+    contour: the initial resample, each evolve step and each periodic
+    resample are clipped to [0, W - 1] x [0, H - 1], so every point that
+    `sample_force` sees lies in the image. Returns the final closed contour
+    as (N, 2) pixels.
     """
     boundary = np.asarray(init, dtype=float)
     if len(boundary) < 3:
         raise ValueError("initial boundary needs at least 3 points")
     h, w = force[0].shape
     n = max(32, int(round(polygon_perimeter(boundary) / 2.0)))
-    pts = resample_closed(boundary, n)
-    np.clip(pts[:, 0], 0, w - 1, out=pts[:, 0])
-    np.clip(pts[:, 1], 0, h - 1, out=pts[:, 1])
+    bounds = (w - 1, h - 1)
+    pts = np.clip(resample_closed(boundary, n), 0, bounds)
     # Shape reference: the boundary polygon densified by the same resampling,
     # so the Hausdorff term is not dominated by gaps between hull vertices.
     shape_ref = pts.copy()
@@ -331,9 +323,7 @@ def run_snake(init: np.ndarray, force: tuple[np.ndarray, np.ndarray], cfg: Snake
         f = sample_force(force, pts)
         if cfg.mode == "proposed":
             f += shape_force(pts, shape_ref, cfg.delta, cfg.shape_weight)
-        new = evolve_step(pts, f, cfg, inv_system=inv_system)
-        np.clip(new[:, 0], 0, w - 1, out=new[:, 0])
-        np.clip(new[:, 1], 0, h - 1, out=new[:, 1])
+        new = np.clip(evolve_step(pts, f, cfg, inv_system=inv_system), 0, bounds)
         # sqrt is monotone, so this is the largest point displacement exactly.
         step = new - pts
         step *= step
@@ -342,5 +332,5 @@ def run_snake(init: np.ndarray, force: tuple[np.ndarray, np.ndarray], cfg: Snake
         if disp < cfg.epsilon:
             break
         if it % cfg.resample_every == 0:
-            pts = resample_closed(pts, n)
+            pts = np.clip(resample_closed(pts, n), 0, bounds)
     return pts

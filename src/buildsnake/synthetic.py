@@ -29,6 +29,7 @@ __all__ = ["BuildingSpec", "ShadowSpec", "SceneSpec", "generate_scene", "quebec_
 
 BUILDING_CLASS = 6
 TERRAIN_NOISE_M = 0.3
+MAX_SIDE_PX = 16384  # 10x the largest benchmark scene side (1536 px)
 
 
 def _pair(name: str, value, integer: bool = False) -> tuple:
@@ -100,6 +101,8 @@ class SceneSpec:
         for name in ("size", "resolution", "lidar_density"):
             if min(np.atleast_1d(getattr(self, name))) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if max(self.size) > MAX_SIDE_PX:
+            raise ValueError(f"size must be at most {MAX_SIDE_PX}, got {self.size!r}")
         for name in ("noise_sigma", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")

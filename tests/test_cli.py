@@ -139,11 +139,13 @@ NAN = float("nan")
         (("buildings",), 5, "buildings"),
         (("shadows",), None, "shadows"),
         (("shadows",), quebec_like_spec().to_dict()["shadows"][0], "shadows"),
+        (("size",), [10**400, 256], "size"),
+        (("size",), [1000000, 1000000], "size"),
     ],
     ids=["size-fraction", "resolution-nan", "lidar_density-nan", "seed-negative", "misalignment-nan",
          "height-nan", "footprint-2-vertices", "shadow-2-vertices", "noise_sigma-negative", "noise_sigma-nan",
          "building-gray-nan", "shadow-gray-nan", "gray-3-tones", "noise_sigma-401-digits",
-         "buildings-int", "shadows-null", "shadows-object"],
+         "buildings-int", "shadows-null", "shadows-object", "size-401-digits", "size-million"],
 )
 def test_synth_malformed_spec_value_exits_2(tmp_path, capsys, path, value, field):
     rc, err = synth_spec_dict(tmp_path, capsys, preset_dict_with(path, value))

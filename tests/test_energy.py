@@ -162,32 +162,6 @@ def test_gvf_rejects_non_positive_or_non_finite_mu(mu):
         compute_gvf(np.zeros((8, 8)), mu=mu, iters=10)
 
 
-def reference_image_energy_terms(gray, sigma):
-    """The energy terms as whole-image expressions, one temporary per operation."""
-    c = gaussian_smooth(gray, sigma)
-    cx, cy = gradient(c)
-    cxx, cxy = gradient(cx)
-    _, cyy = gradient(cy)
-    grad_sq = cx * cx + cy * cy
-    e_term = (cyy * cx * cx - 2.0 * cxy * cx * cy + cxx * cy * cy) / (grad_sq**1.5 + TERM_EPS)
-    return c, -grad_sq, e_term
-
-
-@pytest.mark.parametrize("case", ["random", "step", "constant", "preset"])
-def test_image_energy_terms_equal_reference(case, quebec_scene):
-    rng = np.random.default_rng(12)
-    gray = {
-        "random": rng.uniform(0, 255, (37, 61)),
-        "step": np.where(np.arange(48)[None, :] < 20, 30.0, 220.0) * np.ones((40, 1)),
-        "constant": np.full((9, 12), 77.0),
-        "preset": quebec_scene[1],
-    }[case]
-    for sigma in (2.0, 10.0):
-        got = image_energy_terms(gray, sigma)
-        for a, b in zip(got, reference_image_energy_terms(gray, sigma)):
-            assert a.tobytes() == b.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # GVF solve against its whole-image reference
 

@@ -10,9 +10,12 @@ import json
 import numpy as np
 import pytest
 
-from buildsnake.cli import main
+from buildsnake import snake as snake_module
+from buildsnake.cli import extract_buildings, main
+from buildsnake.config import SnakeConfig
 from buildsnake.geometry import polygon_is_simple, rotate_points, wkt_to_polygon
-from buildsnake.synthetic import BuildingSpec, SceneSpec
+from buildsnake.snake import sample_force
+from buildsnake.synthetic import BuildingSpec, SceneSpec, generate_scene
 
 VERTICES = {"rectangle": 4, "LTZ": 6, "U": 8}
 
@@ -91,3 +94,20 @@ SPLIT = pytest.mark.xfail(strict=True, reason="the LiDAR stage splits the left b
 @pytest.mark.parametrize("seed", [7, pytest.param(13, marks=SPLIT), 3])
 def test_border_one_footprint_per_building(run_border, seed, mode):
     assert len(run_border(seed, mode)[1]) == 2
+
+
+@pytest.mark.parametrize("seed", [7, 13, 3])
+def test_snake_samples_only_points_inside_the_image(monkeypatch, seed):
+    img, cloud, _, t = generate_scene(border_spec(seed))
+    h, w = img.shape
+    sampled = []
+
+    def recording(force, points):
+        sampled.append(points.copy())
+        return sample_force(force, points)
+
+    monkeypatch.setattr(snake_module, "sample_force", recording)
+    extract_buildings(img, cloud, t, SnakeConfig(mode="basic"))
+    pts = np.vstack(sampled)
+    assert ((pts >= 0) & (pts <= (w - 1, h - 1))).all()
+    assert (pts == 0).any() or (pts == (w - 1, h - 1)).any()  # the border clip was reached

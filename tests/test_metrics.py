@@ -16,6 +16,8 @@ from buildsnake.metrics import (
     pair_by_centroid,
 )
 
+from conftest import pixel_iou
+
 SQUARE10 = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float)
 
 
@@ -178,6 +180,17 @@ def test_evaluate_pairs_report_shape():
     assert report["per_building"][1]["edc"] == pytest.approx(
         np.hypot(0.5, 0.5) * 0.15, rel=1e-9
     )
+
+
+def test_evaluate_pairs_scores_on_the_pixel_lattice(mode_results, quebec_scene):
+    # At cell size 1 every pair's grid cells are image pixels, so evaluate
+    # scores as the acceptance suite does.
+    truth = quebec_scene[3]
+    footprints = [r.footprint for r in mode_results["proposed"]]
+    pairs = [(i, footprints[i], truth[j]) for i, j in pair_by_centroid(footprints, truth)]
+    assert len(pairs) == len(truth)
+    report = evaluate_pairs(pairs)
+    assert [b["iou"] for b in report["per_building"]] == [pixel_iou(e, r) for _, e, r in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -259,39 +259,28 @@ def test_shape_force_rejects_nonpositive_delta_and_step(kwargs):
 
 def _reference_bilinear(field, x, y):
     h, w = field.shape
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xc).astype(int), 0, w - 2) if w > 1 else np.zeros_like(xc, int)
-    y0 = np.clip(np.floor(yc).astype(int), 0, h - 2) if h > 1 else np.zeros_like(yc, int)
-    fx = xc - x0
-    fy = yc - y0
-    f00 = field[y0, x0]
-    f01 = field[y0, x0 + 1] if w > 1 else f00
-    f10 = field[y0 + 1, x0] if h > 1 else f00
-    f11 = field[y0 + 1, x0 + 1] if w > 1 and h > 1 else f00
+    x0 = np.clip(np.floor(x).astype(int), 0, w - 2)
+    y0 = np.clip(np.floor(y).astype(int), 0, h - 2)
+    fx = x - x0
+    fy = y - y0
     return (
-        f00 * (1 - fx) * (1 - fy)
-        + f01 * fx * (1 - fy)
-        + f10 * (1 - fx) * fy
-        + f11 * fx * fy
+        field[y0, x0] * (1 - fx) * (1 - fy)
+        + field[y0, x0 + 1] * fx * (1 - fy)
+        + field[y0 + 1, x0] * (1 - fx) * fy
+        + field[y0 + 1, x0 + 1] * fx * fy
     )
 
 
 def reference_sample_force(force, points):
     """Reference sampler: one 2-D bilinear lookup per force component."""
     pts = np.asarray(points, dtype=float)
-    h, w = force[0].shape
     x, y = pts[:, 0], pts[:, 1]
-    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    fx = _reference_bilinear(force[0], x, y) * inside
-    fy = _reference_bilinear(force[1], x, y) * inside
-    return np.column_stack([fx, fy])
+    return np.column_stack([_reference_bilinear(force[0], x, y), _reference_bilinear(force[1], x, y)])
 
 
 def _sample_points(rng, h, w):
-    """Points inside, outside, on every edge and exactly on w - 1 and h - 1."""
+    """Points inside the image, on every edge, exactly on w - 1 and h - 1, and signed zeros."""
     inner = rng.uniform([0.0, 0.0], [w - 1.0, h - 1.0], (40, 2))
-    outer = rng.uniform([-3.0, -3.0], [w + 2.0, h + 2.0], (40, 2))
     edges = np.array(
         [
             [0.0, 0.0],
@@ -303,17 +292,15 @@ def _sample_points(rng, h, w):
             [-0.0, -0.0],
             [-0.0, 0.0],
             [0.0, -0.0],
-            [w - 1.0 + 1e-9, 0.0],
-            [0.0, h - 1.0 + 1e-9],
-            [-1e-12, 0.0],
             [np.floor(0.5 * w), np.floor(0.5 * h)],
         ]
     )
-    return np.vstack([inner, outer, edges])
+    return np.vstack([inner, edges])
 
 
+# (3, 3) is the smallest field `prepare_fields` can give; (2, 2) the smallest `sample_force` takes.
 @pytest.mark.parametrize("values", ["normal", "signed-zeros"])
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (37, 53)])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (3, 3), (37, 53), (53, 37)])
 def test_sample_force_equals_reference(shape, values):
     h, w = shape
     rng = np.random.default_rng(h * 101 + w)
@@ -322,7 +309,7 @@ def test_sample_force_equals_reference(shape, values):
         if values == "normal":
             return rng.normal(0.0, 1.0, shape)
         # Zeros of both signs: at the points (-0.0, 0.0) and (0.0, -0.0) the
-        # sign of a zero result shows which corner a 1-pixel axis reuses.
+        # sign of a zero result shows the sign of the zero weight.
         f = rng.choice([-0.0, 0.0, -1.0, 1.0], shape)
         f.flat[0] = -0.0
         f.flat[1:2] = 1.0
@@ -339,6 +326,23 @@ def test_sample_force_equals_reference_on_non_contiguous_fields():
     force = (fx, fx[::-1])
     pts = _sample_points(rng, 20, 30)
     assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+def test_sample_force_rejects_field_under_2x2(shape):
+    force = (np.zeros(shape), np.zeros(shape))
+    with pytest.raises(ValueError, match="at least 2x2"):
+        sample_force(force, np.zeros((3, 2)))
+
+
+def test_sample_force_extrapolates_linear_field_outside_the_image():
+    h, w = 7, 11
+    yy, xx = np.mgrid[0:h, 0:w].astype(float)
+    force = (0.5 * xx - 2.0 * yy + 3.0, -1.5 * xx + 0.25 * yy - 1.0)
+    pts = np.array([[-3.0, 2.0], [-0.5, -0.25], [4.0, -2.5], [w + 2.0, 3.0], [w - 0.5, h + 4.0], [-1e-12, 0.0]])
+    x, y = pts[:, 0], pts[:, 1]
+    expected = np.column_stack([0.5 * x - 2.0 * y + 3.0, -1.5 * x + 0.25 * y - 1.0])
+    assert np.allclose(sample_force(force, pts), expected, rtol=0.0, atol=1e-12)
 
 
 def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypatch):
