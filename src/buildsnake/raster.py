@@ -21,10 +21,11 @@ __all__ = [
     "disk_element",
 ]
 
-# Pixels per array in one row strip of the Gaussian blur and the GVF solve, so
-# a strip's buffers stay in L2 cache. 60 GVF iterations on a 1024x1024 energy
-# took 1.5 / 1.1 / 0.9 / 0.9 / 1.1 s at 4k / 8k / 16k / 32k / 64k (medians of
-# four runs on a 2-vCPU Xeon); 16k and 32k tie.
+# Pixels per array in one row strip of the Gaussian blur, so a strip's buffers
+# stay in L2 cache. 60 serial GVF iterations on a 1024x1024 energy took 1.5 /
+# 1.1 / 0.9 / 0.9 / 1.1 s at 4k / 8k / 16k / 32k / 64k (medians of four runs on
+# a 2-vCPU Xeon); 16k and 32k tie. The GVF solve, which runs in two bands on
+# two threads, uses its own strip size (energy.GVF_STRIP_ELEMS).
 STRIP_ELEMS = 16384
 
 

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from buildsnake import energy
 from buildsnake.config import SnakeConfig
 from buildsnake.energy import (
+    GVF_STRIP_ELEMS,
     TERM_EPS,
+    _band_cut,
+    _strip_rows,
     compute_gvf,
     gvf_residual,
     image_energy,
     image_energy_terms,
 )
-from buildsnake.raster import STRIP_ELEMS, gaussian_smooth, gradient
+from buildsnake.raster import gaussian_smooth, gradient
 from buildsnake.synthetic import generate_scene, quebec_like_spec
 
 
@@ -199,83 +206,241 @@ def reference_gvf(e_img, mu=0.2, iters=200, residual_factor=1e-4):
     return u, v, done
 
 
-def assert_gvf_matches_reference(e_img, **kwargs):
-    field = compute_gvf(e_img, **kwargs)
+def expected_spans(shape, bands):
+    """Row spans [r0, r1) of the bands of a GVF step on `shape` with up to `bands` bands."""
+    h, w = shape
+    rows = _strip_rows(w)
+    strips = -(-h // rows)
+    if min(bands, strips) == 1:
+        return {(0, h)}
+    cut = _band_cut(strips, rows)
+    return {(0, cut), (cut, h)}
+
+
+def force_bands(monkeypatch, bands):
+    """Runs GVF steps in up to `bands` bands, whatever the CPUs; returns the
+    set that collects the (r0, r1) spans of the bands that ran."""
+    spans = set()
+    step = energy._band_step
+
+    def spy(w_uv, f_xy, g, band, *args):
+        spans.add((band.r0, band.r1))
+        return step(w_uv, f_xy, g, band, *args)
+
+    monkeypatch.setattr(energy, "_band_count", lambda strips: min(bands, strips))
+    monkeypatch.setattr(energy, "_band_step", spy)
+    return spans
+
+
+def assert_gvf_matches_reference(monkeypatch, e_img, **kwargs):
+    """compute_gvf in one band and in up to two against reference_gvf, byte for byte."""
     u, v, done = reference_gvf(e_img, **kwargs)
-    assert field.iters == done
-    assert field.u.tobytes() == u.tobytes()
-    assert field.v.tobytes() == v.tobytes()
+    for bands in (1, 2):
+        spans = force_bands(monkeypatch, bands)
+        field = compute_gvf(e_img, **kwargs)
+        monkeypatch.undo()
+        assert spans == expected_spans(e_img.shape, bands)
+        assert field.iters == done
+        assert field.u.tobytes() == u.tobytes()
+        assert field.v.tobytes() == v.tobytes()
     return field
 
 
-# (H, W): the smallest fields, one strip per row (W > STRIP_ELEMS), H not a
-# multiple of the strip height, a single strip, a tall narrow field, a last
-# strip one row high under 16-row strips, strips two rows high, and one row per
-# strip at W == STRIP_ELEMS.
+ROWS = _strip_rows(1000)  # strip height of a field 1000 px wide
+
+# (H, W), from the solver's strip height and band cut: the smallest fields; a
+# single strip (one band) under and at the strip height; two strips, one band
+# each, the second partial and then full; the cut just above a one-row last
+# strip; H not a multiple of the strip height, three strips a band; one row
+# per strip (W > strip size), two bands of two rows and the cut above a last
+# row; one row per strip at W == strip size; four-row strips with a one-row
+# last strip under the cut; and a tall narrow field.
 GVF_ORACLE_SHAPES = [
     (3, 3),
     (3, 41),
     (41, 3),
-    (4, STRIP_ELEMS + 5),
-    (37, 1000),
     (23, 29),
-    (1500, 16),
-    (33, 1000),
-    (5, 8192),
-    (3, STRIP_ELEMS),
+    (ROWS - 1, 1000),
+    (ROWS, 1000),
+    (ROWS + 7, 1000),
+    (2 * ROWS, 1000),
+    (2 * ROWS + 1, 1000),
+    (5 * ROWS + 13, 1000),
+    (4, GVF_STRIP_ELEMS + 5),
+    (3, GVF_STRIP_ELEMS + 5),
+    (3, GVF_STRIP_ELEMS),
+    (9, GVF_STRIP_ELEMS // 4),
+    (2 * _strip_rows(16) + 3, 16),
 ]
+
+
+def test_gvf_oracle_shapes_cover_the_band_cuts():
+    layouts = []  # (H, W, rows per strip, strips, first row of the second band)
+    for h, w in GVF_ORACLE_SHAPES:
+        rows = _strip_rows(w)
+        strips = -(-h // rows)
+        layouts.append((h, w, rows, strips, _band_cut(strips, rows)))
+    assert all(cut % rows == 0 and (strips == 1 or 0 < cut < h) for h, w, rows, strips, cut in layouts)
+    assert any(strips > 2 and cut == h - 1 and rows > 1 for h, w, rows, strips, cut in layouts)
+    assert any(strips == 2 and cut == rows for h, w, rows, strips, cut in layouts)
+    assert any(w > GVF_STRIP_ELEMS and strips > 2 for h, w, rows, strips, cut in layouts)
+    assert any(strips == 1 and h > 3 for h, w, rows, strips, cut in layouts)
 
 
 @pytest.mark.parametrize("shape", GVF_ORACLE_SHAPES)
 @pytest.mark.parametrize("iters", [1, 9])
-def test_gvf_equals_reference(shape, iters):
+def test_gvf_equals_reference(shape, iters, monkeypatch):
     rng = np.random.default_rng(shape[0] * 7919 + shape[1])
     e_img = rng.normal(0.0, 1.0, shape)
-    assert_gvf_matches_reference(e_img, mu=0.2, iters=iters)
+    assert_gvf_matches_reference(monkeypatch, e_img, mu=0.2, iters=iters)
 
 
-def test_gvf_equals_reference_at_early_stop():
-    # A large residual factor makes the stop test fire well before the cap.
-    e_img = blurred_step(size=40) + np.random.default_rng(4).normal(0.0, 0.5, (40, 40))
-    field = assert_gvf_matches_reference(e_img, mu=0.2, iters=400, residual_factor=0.05)
-    assert 1 < field.iters < 400
+def test_gvf_equals_reference_at_early_stop(monkeypatch):
+    # A large residual factor makes the stop test fire well before the cap,
+    # on a single strip and on four strips in two bands.
+    for shape in [(40, 40), (3 * ROWS + 4, 1000)]:
+        step = np.zeros(shape)
+        step[:, shape[1] // 2 :] = 40.0
+        e_img = gaussian_smooth(step, 3.0) + np.random.default_rng(4).normal(0.0, 0.5, shape)
+        field = assert_gvf_matches_reference(monkeypatch, e_img, mu=0.2, iters=400, residual_factor=0.05)
+        assert 1 < field.iters < 400
 
 
-def test_gvf_equals_reference_at_early_stop_with_flat_top_strips():
-    # Rows 0-19 are flat, so in the first steps the top strip's residual is
+def test_gvf_equals_reference_at_early_stop_with_flat_top_strips(monkeypatch):
+    # Rows 0-39 are flat, so in the first steps the top strip's residual is
     # below the tolerance while the textured strips below it are above: the
     # stop test must still read every strip until one reaches the tolerance.
-    e_img = np.zeros((40, 1000))
-    e_img[20:] = np.random.default_rng(5).normal(0.0, 0.5, (20, 1000))
-    assert STRIP_ELEMS // 1000 < 20
-    field = assert_gvf_matches_reference(e_img, mu=0.2, iters=400, residual_factor=0.02)
+    e_img = np.zeros((80, 1000))
+    e_img[40:] = np.random.default_rng(5).normal(0.0, 0.5, (40, 1000))
+    assert _strip_rows(1000) < 40
+    field = assert_gvf_matches_reference(monkeypatch, e_img, mu=0.2, iters=400, residual_factor=0.02)
     assert 1 < field.iters < 400
 
 
-def test_gvf_equals_reference_on_preset_energy():
+@pytest.mark.parametrize("flat", ["top", "bottom"])
+def test_gvf_equals_reference_at_early_stop_with_a_flat_band(flat, monkeypatch):
+    # With two bands, one band is flat but for its row at the cut, so its
+    # residual falls below the tolerance steps before the other band's,
+    # which still reaches it and skips the rest of its reduction; the solve
+    # must run on until both bands are below.
+    shape = (4 * ROWS, 1000)
+    cut = _band_cut(4, ROWS)
+    textured = slice(cut, None) if flat == "top" else slice(0, cut)
+    e_img = np.zeros(shape)
+    e_img[textured] = np.random.default_rng(6).normal(0.0, 0.5, e_img[textured].shape)
+    field = assert_gvf_matches_reference(monkeypatch, e_img, mu=0.2, iters=400, residual_factor=0.02)
+    assert 1 < field.iters < 400
+
+
+def test_gvf_equals_reference_on_preset_energy(monkeypatch):
     # The bundled scene's energy at the operating point: all 200 iterations.
     img = generate_scene(quebec_like_spec(seed=7))[0]
     cfg = SnakeConfig()
     e_img = image_energy(img, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
-    field = assert_gvf_matches_reference(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
+    field = assert_gvf_matches_reference(monkeypatch, e_img, mu=cfg.mu, iters=cfg.gvf_iters)
     assert field.iters == cfg.gvf_iters
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (5, 7), (40, 33), (3, 20000), (300, 70)])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 7), (40, 33), (3, 20000), (300, 70), (2 * ROWS + 1, 1000)])
 @pytest.mark.parametrize("iters", [0, 3])
-def test_gvf_residual_equals_reference_over_all_pixels(shape, iters):
-    # The residual of the solver's stop test, border pixels included, and
-    # the field it is taken of stays as it was.
+def test_gvf_residual_equals_reference_over_all_pixels(shape, iters, monkeypatch):
+    # The residual of the solver's stop test, border pixels included, in one
+    # band and in up to two, and the field it is taken of stays as it was.
     rng = np.random.default_rng(shape[0] * 131 + shape[1])
     e_img = rng.normal(0.0, 1.0, shape)
     field = compute_gvf(e_img, mu=0.3, iters=iters)
     u, v = field.u.copy(), field.v.copy()
     fx, fy = gradient(-e_img)
     ru, rv = reference_residual(u, v, fx, fy, fx * fx + fy * fy, 0.3)
-    got = gvf_residual(field, e_img)
-    assert got == max(np.abs(ru).max(), np.abs(rv).max())
-    assert field.u.tobytes() == u.tobytes()
-    assert field.v.tobytes() == v.tobytes()
+    for bands in (1, 2):
+        spans = force_bands(monkeypatch, bands)
+        got = gvf_residual(field, e_img)
+        monkeypatch.undo()
+        assert spans == expected_spans(shape, bands)
+        assert got == max(np.abs(ru).max(), np.abs(rv).max())
+        assert field.u.tobytes() == u.tobytes()
+        assert field.v.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(50, 40), (25, 80)])
+def test_gvf_residual_rejects_energy_of_another_shape(shape, monkeypatch):
+    field = compute_gvf(np.random.default_rng(8).normal(0.0, 1.0, (40, 50)), iters=2)
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(energy, "_band_step", no_step)
+    with pytest.raises(ValueError, match=r"\(%d, %d\).*\(40, 50\)" % shape):
+        gvf_residual(field, np.zeros(shape))
+
+
+class BandFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["top", "bottom"])
+def test_gvf_band_failure_propagates_and_joins_the_worker(failing, monkeypatch):
+    # A band that raises on its third step, on either side of the cut, ends
+    # the solve with that exception and leaves no worker thread running.
+    step = energy._band_step
+    calls = []
+
+    def fail_third(w_uv, f_xy, g, band, *args):
+        if (band.r0 > 0) == (failing == "bottom"):
+            calls.append(band.r0)
+            if len(calls) == 3:
+                raise BandFailure(failing)
+        return step(w_uv, f_xy, g, band, *args)
+
+    monkeypatch.setattr(energy, "_band_count", lambda strips: min(2, strips))
+    monkeypatch.setattr(energy, "_band_step", fail_third)
+    e_img = np.random.default_rng(9).normal(0.0, 1.0, (2 * ROWS, 1000))
+    raised = []
+
+    def solve():
+        try:
+            compute_gvf(e_img, iters=9)
+        except BandFailure as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    thread = threading.Thread(target=solve)
+    thread.start()
+    thread.join(60.0)
+    assert not thread.is_alive()
+    assert [str(exc) for exc in raised] == [failing]
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+def test_gvf_concurrent_two_band_solves_match_one_band(monkeypatch):
+    # Four solves of two bands each at once, more threads than CPUs, with the
+    # interpreter switching threads as often as it can: each field must still
+    # be the one-band field, bit for bit.
+    e_img = np.random.default_rng(10).normal(0.0, 1.0, (5 * ROWS + 13, 1000))
+    force_bands(monkeypatch, 1)
+    want = compute_gvf(e_img, iters=7)
+    monkeypatch.undo()
+    force_bands(monkeypatch, 2)
+    fields = [None] * 4
+
+    def solve(i):
+        fields[i] = compute_gvf(e_img, iters=7)
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(fields))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for field in fields:
+        assert field.u.tobytes() == want.u.tobytes()
+        assert field.v.tobytes() == want.v.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9)])
