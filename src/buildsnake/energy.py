@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import STRIP_ELEMS, gaussian_smooth, gradient
+from .raster import STRIP_ELEMS, gaussian_smooth, row_strips
 
 __all__ = ["GvfField", "image_energy", "image_energy_terms", "compute_gvf", "gvf_residual"]
 
@@ -29,17 +29,33 @@ def image_energy_terms(gray: np.ndarray, sigma: float) -> tuple[np.ndarray, np.n
 
     With C the sigma-smoothed image: line = C, edge = -|grad C|^2, and
     termination = level-set curvature of C.
+
+    The derivatives and terms run one strip of rows at a time, each strip's
+    derivatives taken on a block with two halo rows on each side
+    (`raster.row_strips`), so the bits are those of whole-image np.gradient
+    calls while only C, the two other terms and one block's temporaries are
+    held at once.
     """
     c = gaussian_smooth(gray, sigma)
-    cx, cy = gradient(c)
-    cxx, cxy = gradient(cx)
-    cyy = np.gradient(cy, axis=0)
-    grad_sq = cx * cx
+    strips = row_strips(c.shape, 2)
+    e_edge, e_term = np.empty(c.shape), np.empty(c.shape)
+    for rows, block, inner in strips:
+        _strip_terms(c[block], inner, e_edge[rows], e_term[rows])
+    return c, e_edge, e_term
+
+
+def _strip_terms(c: np.ndarray, inner: slice, e_edge: np.ndarray, e_term: np.ndarray) -> None:
+    """The edge and termination terms of rows `inner` of block `c`, into e_edge and e_term."""
+    cy, cx = np.gradient(c)
+    cxy = np.gradient(cx, axis=0)[inner]
+    cyy = np.gradient(cy, axis=0)[inner]
+    cx, cy = cx[inner], cy[inner]
+    cxx = np.gradient(cx, axis=1)
+    grad_sq = np.multiply(cx, cx, out=e_edge)
     grad_sq += cy * cy
     # (cyy cx cx - 2 cxy cx cy + cxx cy cy) / (grad_sq^1.5 + eps), built in
     # place with the operations in that order.
-    e_term = cyy
-    e_term *= cx
+    np.multiply(cyy, cx, out=e_term)
     e_term *= cx
     cxy *= 2.0
     cxy *= cx
@@ -51,16 +67,19 @@ def image_energy_terms(gray: np.ndarray, sigma: float) -> tuple[np.ndarray, np.n
     den = grad_sq**1.5
     den += TERM_EPS
     e_term /= den
-    e_line = c
-    e_edge = np.negative(grad_sq, out=grad_sq)
-    return e_line, e_edge, e_term
+    np.negative(grad_sq, out=grad_sq)
 
 
-def _minmax(field: np.ndarray) -> np.ndarray:
+def _weigh(field: np.ndarray, weight: float) -> np.ndarray:
+    """weight times `field` min-max normalized to [0, 1] (0 if flat), in place."""
     lo, hi = field.min(), field.max()
     if hi - lo <= 0:
-        return np.zeros_like(field)
-    return (field - lo) / (hi - lo)
+        field[...] = 0.0
+    else:
+        field -= lo
+        field /= hi - lo
+    field *= weight
+    return field
 
 
 def image_energy(
@@ -73,27 +92,42 @@ def image_energy(
     """Weighted image energy; each term is min-max normalized to [0, 1] first.
 
     Normalization makes the published weights meaningful across images with
-    different dynamic ranges.
+    different dynamic ranges. The terms are weighed in their own arrays and
+    summed into the line term's, so the energy holds no array beyond
+    `image_energy_terms`' three.
     """
-    e_line, e_edge, e_term = image_energy_terms(gray, sigma)
-    return w_line * _minmax(e_line) + w_edge * _minmax(e_edge) + w_term * _minmax(e_term)
+    energy, e_edge, e_term = image_energy_terms(gray, sigma)
+    _weigh(energy, w_line)
+    energy += _weigh(e_edge, w_edge)
+    energy += _weigh(e_term, w_term)
+    return energy
 
 
 def _edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(f_x then f_y as (2, H, W), g = f_x^2 + f_y^2, max g) of f = -e_img.
 
-    Raises ValueError where a NaN residual would read as converged: on a
-    non-finite e_img or an overflowing g.
+    Runs one strip of rows at a time, each strip's gradient taken on its
+    block of f with one halo row on each side (`raster.row_strips`), so the
+    bits are whole-image np.gradient's while no whole-image copy of f or
+    of its gradient is made. Raises ValueError where a NaN residual would
+    read as converged: on a non-finite e_img or an overflowing g.
     """
-    f = -np.asarray(e_img, dtype=float)
-    if not np.isfinite(f).all():
-        raise ValueError("e_img must be finite")
-    fx, fy = gradient(f)
-    g = fx * fx + fy * fy
+    e_img = np.asarray(e_img, dtype=float)
+    strips = row_strips(e_img.shape, 1)
+    f_xy, g = np.empty((2,) + e_img.shape), np.empty(e_img.shape)
+    for rows, block, inner in strips:
+        f = np.negative(e_img[block])
+        if not np.isfinite(f).all():
+            raise ValueError("e_img must be finite")
+        fy, fx = np.gradient(f)
+        fx, fy = fx[inner], fy[inner]
+        np.multiply(fx, fx, out=g[rows])
+        g[rows] += fy * fy
+        f_xy[0, rows], f_xy[1, rows] = fx, fy
     g_max = float(g.max())
     if not np.isfinite(g_max):
         raise ValueError("the gradient of e_img overflows")
-    return np.stack((fx, fy)), g, g_max
+    return f_xy, g, g_max
 
 
 # Pixels per array in one row strip of a GVF step: twice raster.STRIP_ELEMS.

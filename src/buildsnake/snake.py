@@ -54,6 +54,11 @@ def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> tuple[np.ndarray, np.n
     the diffused GVF field in its place. Either is rescaled to unit peak
     magnitude, the GVF field on copies, so the solved field stays as
     `compute_gvf` returned it. One pair serves every snake on the image.
+
+    The energy, its gradient and the GVF's edge force are taken one strip
+    of rows at a time (`raster.row_strips`), with the bits of whole-image
+    np.gradient calls: in basic mode at most three image-sized arrays are
+    held beyond `gray`.
     """
     e_img = image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     if cfg.mode == "basic":

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,16 @@ def match_truth(polygon, truth_polys) -> int:
     c = np.asarray(polygon).mean(axis=0)
     dists = [np.linalg.norm(np.asarray(tp).mean(axis=0) - c) for tp in truth_polys]
     return int(np.argmin(dists))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc counts while fn(*args) runs; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,30 @@ def test_extract_two_buildings_accurate(small_scene_dir, tmp_path):
     assert (out / "run.json").exists()
 
 
+@pytest.mark.parametrize("mode", ["basic", "gvf"])
+def test_extract_with_underflowing_sigma_runs_as_sigma_zero(small_scene_dir, tmp_path, capsys, mode):
+    # 2 sigma^2 is 0 at 1e-170: the blur used to build a NaN kernel, so gvf
+    # mode exited 1 on a non-finite energy and basic mode fell back to MBRs.
+    outputs = []
+    for sigma in ("1e-170", "0"):
+        out = tmp_path / sigma
+        rc = main(
+            [
+                "extract",
+                "--image", str(small_scene_dir / "scene.pgm"),
+                "--cloud", str(small_scene_dir / "cloud.xyz"),
+                "--transform", str(small_scene_dir / "transform.txt"),
+                "--outdir", str(out),
+                "--mode", mode,
+                "--sigma", sigma,
+            ]
+        )
+        assert rc == 0
+        assert "warning" not in capsys.readouterr().err
+        outputs.append((out / "footprints.wkt").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_extract_missing_transform_exits_2(small_scene_dir, tmp_path, capsys):
     rc = main(
         [

@@ -20,6 +20,8 @@ from buildsnake.energy import (
 )
 from buildsnake.raster import gaussian_smooth, gradient
 from buildsnake.synthetic import generate_scene, quebec_like_spec
+from conftest import traced_peak
+from test_raster import SEAM_CASES, STRIP_SEAM_SHAPES, seam_image
 
 
 def blurred_step(height=40.0, sigma=3.0, size=48):
@@ -79,12 +81,34 @@ def test_image_energy_constant_image_is_zero():
 def reference_image_energy_terms(gray, sigma):
     """The energy terms as whole-image expressions, one temporary per operation."""
     c = gaussian_smooth(gray, sigma)
-    cx, cy = gradient(c)
-    cxx, cxy = gradient(cx)
-    _, cyy = gradient(cy)
+    cy, cx = np.gradient(c)
+    cxy, cxx = np.gradient(cx)
+    cyy, _ = np.gradient(cy)
     grad_sq = cx * cx + cy * cy
     e_term = (cyy * cx * cx - 2.0 * cxy * cx * cy + cxx * cy * cy) / (grad_sq**1.5 + TERM_EPS)
     return c, -grad_sq, e_term
+
+
+def _reference_minmax(field):
+    lo, hi = field.min(), field.max()
+    if hi - lo <= 0:
+        return np.zeros_like(field)
+    return (field - lo) / (hi - lo)
+
+
+def reference_image_energy(gray, w_line=0.04, w_edge=2.0, w_term=0.01, sigma=10.0):
+    """The weighted energy as one whole-image expression of normalized copies."""
+    e_line, e_edge, e_term = reference_image_energy_terms(gray, sigma)
+    return w_line * _reference_minmax(e_line) + w_edge * _reference_minmax(e_edge) + w_term * _reference_minmax(e_term)
+
+
+def reference_edge_force(e_img):
+    """(f_x, f_y, g) of f = -e_img from whole-image np.gradient, on 3x3 or larger."""
+    f = -np.asarray(e_img, dtype=float)
+    if f.ndim != 2 or min(f.shape) < 3:
+        raise ValueError("image must be at least 3x3 for gradients")
+    fy, fx = np.gradient(f)
+    return fx, fy, fx * fx + fy * fy
 
 
 @pytest.mark.parametrize("case", ["random", "step", "constant", "preset"])
@@ -100,6 +124,67 @@ def test_image_energy_terms_equal_reference(case, quebec_scene):
         got = image_energy_terms(gray, sigma)
         for a, b in zip(got, reference_image_energy_terms(gray, sigma)):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", SEAM_CASES)
+@pytest.mark.parametrize("shape", STRIP_SEAM_SHAPES)
+def test_image_energy_equals_reference_at_strip_seams(shape, case):
+    gray = seam_image(shape, case)
+    for a, b in zip(image_energy_terms(gray, 2.0), reference_image_energy_terms(gray, 2.0)):
+        assert a.tobytes() == b.tobytes()
+    for weights in [(0.04, 2.0, 0.01), (-0.5, 0.0, 3.0)]:
+        got = image_energy(gray, *weights, sigma=2.0)
+        assert got.tobytes() == reference_image_energy(gray, *weights, sigma=2.0).tobytes()
+
+
+@pytest.mark.parametrize("case", SEAM_CASES)
+@pytest.mark.parametrize("shape", STRIP_SEAM_SHAPES)
+def test_edge_force_equals_reference_at_strip_seams(shape, case):
+    # Signed zeros included: f is negated before its gradient is taken.
+    e_img = seam_image(shape, case) - 128.0
+    f_xy, g, g_max = energy._edge_force(e_img)
+    fx, fy, g_ref = reference_edge_force(e_img)
+    assert f_xy.tobytes() == np.stack((fx, fy)).tobytes()
+    assert g.tobytes() == g_ref.tobytes()
+    assert g_max == g_ref.max()
+
+
+def test_preset_energy_equals_reference():
+    img = generate_scene(quebec_like_spec(seed=7))[0]
+    cfg = SnakeConfig()
+    got = image_energy(img, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
+    assert got.tobytes() == reference_image_energy(img, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# peak memory, as tracemalloc counts numpy's buffers
+
+MEM_SHAPE = (600, 500)
+ARRAY_BYTES = MEM_SHAPE[0] * MEM_SHAPE[1] * 8  # one full float64 array
+
+
+def test_image_energy_peak_memory_is_three_arrays_and_strips():
+    # The smoothed image and the two other terms, plus one strip block's
+    # temporaries; the whole-image form held about eight arrays.
+    gray = seam_image(MEM_SHAPE, "random")
+    assert traced_peak(image_energy, gray) <= 3.5 * ARRAY_BYTES
+
+
+def test_edge_force_peak_memory_is_its_outputs_and_strips():
+    # f_xy and g only: no whole-image copy of f, f_x or f_y.
+    e_img = seam_image(MEM_SHAPE, "random")
+    assert traced_peak(energy._edge_force, e_img) <= 3.5 * ARRAY_BYTES
+
+
+@pytest.mark.parametrize("bands", [1, 2])
+def test_gvf_peak_memory_is_its_fields_and_band_buffers(bands, monkeypatch):
+    # f_xy, g and the solved field, five arrays, plus each band's strip
+    # buffers: no f, f_x or f_y copy lives past the edge force.
+    e_img = seam_image(MEM_SHAPE, "random")
+    rows = _strip_rows(MEM_SHAPE[1])
+    force_bands(monkeypatch, bands)
+    band_bytes = 4 * rows * MEM_SHAPE[1] * 8  # the lap and tmp buffers of u and v
+    assert traced_peak(compute_gvf, e_img, 0.2, 2) <= 5 * ARRAY_BYTES + bands * band_bytes + 0.05 * ARRAY_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +274,7 @@ def reference_gvf(e_img, mu=0.2, iters=200, residual_factor=1e-4):
 
     Returns (u, v, iters) of the same explicit scheme as compute_gvf.
     """
-    f = -np.asarray(e_img, dtype=float)
-    fx, fy = gradient(f)
-    g = fx * fx + fy * fy
+    fx, fy, g = reference_edge_force(e_img)
     u = fx.copy()
     v = fy.copy()
     dt = 1.9 / (8.0 * mu + float(g.max()))
@@ -350,8 +433,7 @@ def test_gvf_residual_equals_reference_over_all_pixels(shape, iters, monkeypatch
     e_img = rng.normal(0.0, 1.0, shape)
     field = compute_gvf(e_img, mu=0.3, iters=iters)
     u, v = field.u.copy(), field.v.copy()
-    fx, fy = gradient(-e_img)
-    ru, rv = reference_residual(u, v, fx, fy, fx * fx + fy * fy, 0.3)
+    ru, rv = reference_residual(u, v, *reference_edge_force(e_img), 0.3)
     for bands in (1, 2):
         spans = force_bands(monkeypatch, bands)
         got = gvf_residual(field, e_img)

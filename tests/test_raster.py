@@ -16,6 +16,7 @@ from buildsnake.raster import (
     load_pnm,
     morphological_open,
     rgb_to_gray,
+    row_strips,
     save_pgm,
 )
 
@@ -142,6 +143,36 @@ def test_smooth_sigma_zero_identity():
     assert np.array_equal(gaussian_smooth(img, 0.0), img)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-160, 5e-324])
+def test_smooth_sigma_with_underflowing_variance_is_identity(sigma):
+    # 2 sigma^2 is 0 or subnormal: the kernel's exponents would divide by
+    # zero or overflow (RuntimeWarnings, which pytest makes errors) and give
+    # a NaN kernel; the blur is sigma = 0's copy instead.
+    img = np.random.default_rng(1).uniform(0, 255, (7, 9))
+    assert gaussian_kernel(sigma).tobytes() == gaussian_kernel(0.0).tobytes() == np.ones(1).tobytes()
+    out = gaussian_smooth(img, sigma)
+    assert out.tobytes() == gaussian_smooth(img, 0.0).tobytes() == img.tobytes()
+    assert out is not img and not np.shares_memory(out, img)
+
+
+def test_smallest_sigma_with_normal_variance_has_a_finite_kernel():
+    tiny = np.finfo(float).tiny
+    sigma = np.sqrt(tiny / 2.0)
+    while 2.0 * sigma * sigma < tiny:
+        sigma = np.nextafter(sigma, np.inf)
+    k = gaussian_kernel(sigma)
+    assert k.tolist() == [0.0, 1.0, 0.0]
+    assert gaussian_kernel(np.nextafter(sigma, 0.0)).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 0.2, 0.7, 2.5, 10.0])
+def test_gaussian_kernel_keeps_its_bits(sigma):
+    radius = int(np.ceil(3.0 * sigma))
+    x = np.arange(-radius, radius + 1, dtype=float)
+    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    assert gaussian_kernel(sigma).tobytes() == (k / k.sum()).tobytes()
+
+
 def test_smooth_impulse_peak_is_kernel_peak():
     k = gaussian_kernel(2.0)
     assert k.sum() == pytest.approx(1.0, abs=1e-6)
@@ -195,6 +226,71 @@ def test_gradient_central_difference_value():
 def test_gradient_too_small():
     with pytest.raises(ValueError):
         gradient(np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (1, 1), (9,), (4, 4, 4)])
+def test_gradient_rejects_other_than_3x3_or_larger_images(shape):
+    with pytest.raises(ValueError, match="at least 3x3"):
+        gradient(np.zeros(shape))
+
+
+SEAM_W = 40
+SEAM_ROWS = STRIP_ELEMS // SEAM_W  # rows per strip at this width
+
+# (H, W) at the seams of row_strips: the three smallest heights, where one
+# strip's halo reaches both image edges; one strip, and one row fewer or
+# more; two strips and a one-row third; and one row per strip (W above
+# STRIP_ELEMS), three and seven rows high, where a middle strip's block
+# touches both image edges or neither.
+STRIP_SEAM_SHAPES = [
+    (3, 41),
+    (4, 41),
+    (5, 41),
+    (SEAM_ROWS - 1, SEAM_W),
+    (SEAM_ROWS, SEAM_W),
+    (SEAM_ROWS + 1, SEAM_W),
+    (2 * SEAM_ROWS + 1, SEAM_W),
+    (3, STRIP_ELEMS + 3),
+    (7, STRIP_ELEMS + 3),
+]
+SEAM_CASES = ["random", "strided", "constant"]
+
+
+def seam_image(shape, case):
+    """A random image of `shape`, the same values in a strided view, or a constant image."""
+    if case == "constant":
+        return np.full(shape, 77.0)
+    img = np.random.default_rng(shape[0] * 7919 + shape[1]).uniform(0.0, 255.0, shape)
+    if case == "strided":
+        wide = np.zeros((shape[0], 2 * shape[1]))
+        wide[:, ::2] = img
+        img = wide[:, ::2]
+        assert not img.flags.c_contiguous
+    return img
+
+
+@pytest.mark.parametrize("halo", [1, 2])
+@pytest.mark.parametrize("shape", STRIP_SEAM_SHAPES)
+def test_row_strips_tile_the_rows_with_clipped_halos(shape, halo):
+    h, w = shape
+    strips = row_strips(shape, halo)
+    assert [rows.start for rows, _, _ in strips] == list(range(0, h, max(1, STRIP_ELEMS // w)))
+    assert strips[-1][0].stop == h
+    for (rows, _, _), (after, _, _) in zip(strips, strips[1:]):
+        assert rows.stop == after.start
+    for rows, block, inner in strips:
+        assert (block.start, block.stop) == (max(0, rows.start - halo), min(h, rows.stop + halo))
+        assert np.arange(h)[block][inner].tolist() == list(range(rows.start, rows.stop))
+
+
+@pytest.mark.parametrize("case", SEAM_CASES)
+@pytest.mark.parametrize("shape", STRIP_SEAM_SHAPES)
+def test_gradient_equals_whole_image_np_gradient(shape, case):
+    img = seam_image(shape, case)
+    gy, gx = np.gradient(img)
+    got_x, got_y = gradient(img)
+    assert got_x.tobytes() == gx.tobytes()
+    assert got_y.tobytes() == gy.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from buildsnake.cli import extract_buildings
 from buildsnake.config import SnakeConfig
 from buildsnake.energy import compute_gvf, image_energy
 from buildsnake.geometry import GridSpec, polygon_perimeter, rasterize_polygon
-from buildsnake.raster import gradient
 from buildsnake.synthetic import generate_scene, quebec_like_spec
 from buildsnake.snake import (
     prepare_fields,
@@ -22,7 +21,9 @@ from buildsnake.snake import (
     system_matrix,
 )
 
-from conftest import pixel_iou
+from conftest import pixel_iou, traced_peak
+from test_energy import ARRAY_BYTES, MEM_SHAPE, reference_gvf, reference_image_energy
+from test_raster import SEAM_CASES, STRIP_SEAM_SHAPES, seam_image
 
 
 def circle(n=64, r=20.0, center=(32.0, 32.0)):
@@ -362,14 +363,13 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
 
 
 def reference_prepare_fields(gray, cfg):
-    """Force field as negated and divided copies of the gradient or GVF field."""
-    e_img = image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
+    """Force field as negated and divided copies of the whole-image gradient or GVF field."""
+    e_img = reference_image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     if cfg.mode == "basic":
-        ex, ey = gradient(e_img)
+        ey, ex = np.gradient(e_img)
         fx, fy = -ex, -ey
     else:
-        field = compute_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
-        fx, fy = field.u, field.v
+        fx, fy, _ = reference_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
     peak = float(np.hypot(fx, fy).max())
     if peak > 0:
         fx, fy = fx / peak, fy / peak
@@ -399,6 +399,25 @@ def test_prepare_fields_equals_reference(mode, case, monkeypatch):
         solved = compute_gvf(image_energy(gray, sigma=2.0), mu=cfg.mu, iters=15)
         assert solved_fields[0].u.tobytes() == solved.u.tobytes()
         assert solved_fields[0].v.tobytes() == solved.v.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["basic", "gvf"])
+@pytest.mark.parametrize("case", SEAM_CASES)
+@pytest.mark.parametrize("shape", STRIP_SEAM_SHAPES)
+def test_prepare_fields_equals_reference_at_strip_seams(shape, case, mode):
+    gray = seam_image(shape, case)
+    cfg = SnakeConfig(mode=mode, sigma=2.0, gvf_iters=3)
+    got_x, got_y = prepare_fields(gray, cfg)
+    fx, fy = reference_prepare_fields(gray, cfg)
+    assert got_x.tobytes() == fx.tobytes()
+    assert got_y.tobytes() == fy.tobytes()
+
+
+def test_basic_prepare_fields_peak_memory_is_three_arrays_and_strips():
+    # The energy's three arrays, then the energy and its two gradient
+    # components, plus one strip block's temporaries each time.
+    gray = seam_image(MEM_SHAPE, "random")
+    assert traced_peak(prepare_fields, gray, SnakeConfig(mode="basic")) <= 3.5 * ARRAY_BYTES
 
 
 # ---------------------------------------------------------------------------
