@@ -103,8 +103,8 @@ def image_energy(
     return energy
 
 
-def _edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(f_x then f_y as (2, H, W), g = f_x^2 + f_y^2, max g) of f = -e_img.
+def _edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(f_x, f_y, g = f_x^2 + f_y^2, max g) of f = -e_img, each (H, W).
 
     Runs one strip of rows at a time, each strip's gradient taken on its
     block of f with one halo row on each side (`raster.row_strips`), so the
@@ -114,7 +114,7 @@ def _edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """
     e_img = np.asarray(e_img, dtype=float)
     strips = row_strips(e_img.shape, 1)
-    f_xy, g = np.empty((2,) + e_img.shape), np.empty(e_img.shape)
+    f_x, f_y, g = np.empty(e_img.shape), np.empty(e_img.shape), np.empty(e_img.shape)
     for rows, block, inner in strips:
         f = np.negative(e_img[block])
         if not np.isfinite(f).all():
@@ -123,18 +123,18 @@ def _edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         fx, fy = fx[inner], fy[inner]
         np.multiply(fx, fx, out=g[rows])
         g[rows] += fy * fy
-        f_xy[0, rows], f_xy[1, rows] = fx, fy
+        f_x[rows], f_y[rows] = fx, fy
     g_max = float(g.max())
     if not np.isfinite(g_max):
         raise ValueError("the gradient of e_img overflows")
-    return f_xy, g, g_max
+    return f_x, f_y, g, g_max
 
 
 # Pixels per array in one row strip of a GVF step: twice raster.STRIP_ELEMS.
-# 200 steps on a 1024x1024 energy took 2.26 / 1.75 / 2.06 / 2.17 s in two
-# bands at 16k / 32k / 64k / 128k, and 2.54 / 2.75 s in one band at 16k / 32k
-# (medians of seven runs on a 2-vCPU Xeon): at 16k the GIL hand-off around
-# each numpy call eats most of the second thread's gain.
+# 200 steps on the 1024x1024 sparse-gvf energy (seed 7, 2-vCPU Xeon, median
+# of the faster of two solves in each of 5-7 interleaved processes): one
+# thread (taskset -c 0) took 2.76 / 2.33 / 2.50 s at 16k / 32k / 64k, two
+# threads 1.73 s at 32k and 1.54 s at 64k; 64k doubles the strip buffers.
 GVF_STRIP_ELEMS = 2 * STRIP_ELEMS
 
 
@@ -143,140 +143,123 @@ def _strip_rows(w: int) -> int:
     return max(1, GVF_STRIP_ELEMS // w)
 
 
-def _band_count(strips: int) -> int:
-    """Row bands per Jacobi step: one per usable CPU, at most two, at most one per strip."""
+def _thread_count() -> int:
+    """Threads per Jacobi step: one per usable CPU, at most one per component."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(2, cpus, strips)
+    return min(2, cpus)
 
 
-def _band_cut(strips: int, rows: int) -> int:
-    """First row of the second band: the first ceil(strips / 2) strips make the first."""
-    return rows * ((strips + 1) // 2)
+def _strip_buffers(w: int) -> tuple:
+    """One component's work buffers for steps on a field `w` pixels wide: a
+    strip's lap and tmp, a strip's first or last column, and the old value of
+    the row above the current strip."""
+    rows = _strip_rows(w)
+    return np.empty(rows * w), np.empty(rows * w), np.empty(rows), np.empty(w)
 
 
-class _Band:
-    """Rows [r0, r1) of a Jacobi step, `rows` rows per strip, with the work
-    buffers of the thread that runs them."""
-
-    def __init__(self, r0: int, r1: int, up: np.ndarray | None, down: np.ndarray, rows: int, w: int):
-        self.r0, self.r1, self.rows = r0, r1, rows
-        self.up = up  # old row r0 - 1, or None at the top edge
-        self.down = down  # old row r1, or row h - 1 itself at the bottom edge
-        self.lap = np.empty((2, rows * w))
-        self.tmp = np.empty((2, rows * w))
-        self.edge = np.empty((2, rows))  # a strip's first or last column, saved
-        self.prev = np.empty((2, w))  # old value of the row above the current strip
-
-
-def _band_step(
-    w_uv: np.ndarray, f_xy: np.ndarray, g: np.ndarray, band: _Band, mu: float, dt: float, tol: float
+def _step(
+    field: np.ndarray, f: np.ndarray, g: np.ndarray, buffers: tuple, mu: float, dt: float, tol: float
 ) -> float:
-    """One Jacobi step on `band`'s rows of w_uv, in place, a strip at a time.
+    """One Jacobi step on one component `field`, in place, a strip at a time.
 
-    Returns the band's max |r|, exact below `tol`: once it reaches `tol` the
-    step cannot stop, so the rest of the band's strips skip the reduction.
+    Returns the step's max |r|, exact below `tol`: once it reaches `tol` the
+    step cannot stop, so the rest of the strips skip the reduction.
     """
     h, w = g.shape
-    flat_uv = w_uv.reshape(2, h * w)  # (2, H*W) views; a strip is a slice of these
-    flat_f = f_xy.reshape(2, h * w)
+    rows = _strip_rows(w)
+    lap, tmp, edge, up = buffers
+    flat = field.reshape(h * w)  # a strip is a slice of these flat views
+    flat_f = f.reshape(h * w)
     flat_g = g.reshape(h * w)
-    up = band.up
     r_max = 0.0
-    for r0 in range(band.r0, band.r1, band.rows):
-        r1 = min(r0 + band.rows, band.r1)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
         n = r1 - r0
-        s = flat_uv[:, r0 * w : r1 * w]
-        a = band.lap[:, : n * w]
-        b = band.tmp[:, : n * w]
-        s3 = s.reshape(2, n, w)
-        a3 = a.reshape(2, n, w)
-        col = band.edge[:, :n]
+        s = flat[r0 * w : r1 * w]
+        a = lap[: n * w]
+        b = tmp[: n * w]
+        s2 = s.reshape(n, w)
+        a2 = a.reshape(n, w)
+        col = edge[:n]
         # up + down, edge-replicated at the top and bottom rows
-        if up is None:
-            up = s3[:, 0]
-        down = band.down if r1 == band.r1 else w_uv[:, r1]
+        above = s2[0] if r0 == 0 else up
+        below = field[min(r1, h - 1)]
         if n == 1:
-            np.add(up, down, out=a3[:, 0])
+            np.add(above, below, out=a2[0])
         else:
-            np.add(up, s3[:, 1], out=a3[:, 0])
-            np.add(s3[:, :-2], s3[:, 2:], out=a3[:, 1:-1])
-            np.add(s3[:, -2], down, out=a3[:, -1])
+            np.add(above, s2[1], out=a2[0])
+            np.add(s2[:-2], s2[2:], out=a2[1:-1])
+            np.add(s2[-2], below, out=a2[-1])
         # + left, + right as shifts along the flat strip; the first and
         # last columns, which took a value from the next row over, are
         # redone from their saved sums, edge-replicated
-        np.copyto(col, a3[:, :, 0])
-        a[:, 1:] += s[:, :-1]
-        np.add(col, s3[:, :, 0], out=a3[:, :, 0])
-        np.copyto(col, a3[:, :, -1])
-        a[:, :-1] += s[:, 1:]
-        np.add(col, s3[:, :, -1], out=a3[:, :, -1])
+        np.copyto(col, a2[:, 0])
+        a[1:] += s[:-1]
+        np.add(col, s2[:, 0], out=a2[:, 0])
+        np.copyto(col, a2[:, -1])
+        a[:-1] += s[1:]
+        np.add(col, s2[:, -1], out=a2[:, -1])
         np.multiply(s, 4.0, out=b)
         a -= b
         # r = mu lap - (w - f) g
         a *= mu
-        np.subtract(s, flat_f[:, r0 * w : r1 * w], out=b)
+        np.subtract(s, flat_f[r0 * w : r1 * w], out=b)
         b *= flat_g[r0 * w : r1 * w]
         a -= b
         if r_max < tol:
             r_max = max(r_max, float(a.max()), -float(a.min()))
-        up = band.prev
-        up[...] = s3[:, -1]
+        np.copyto(up, s2[-1])
         a *= dt
         s += a
     return r_max
 
 
 def _jacobi(
-    w_uv: np.ndarray, f_xy: np.ndarray, g: np.ndarray, mu: float, dt: float, tol: float, iters: int
+    fields: tuple, forces: tuple, g: np.ndarray, mu: float, dt: float, tol: float, iters: int
 ) -> tuple[int, float]:
-    """Up to `iters` steps w += dt r, r = mu lap(w) - (w - f) g, on (2, H, W) w_uv in place.
+    """Up to `iters` steps w += dt r, r = mu lap(w) - (w - f) g, on each of
+    `fields` (u, v) in place, against its force in `forces` (f_x, f_y).
 
-    Stops after the first step whose max |r| over all pixels is below `tol`.
-    Returns the steps taken and the last step's max |r| (exact below `tol`).
+    Stops after the first step whose max |r| over both components and all
+    pixels is below `tol`. Returns the steps taken and the last step's max
+    |r| (exact below `tol`).
 
-    Each step runs as at most two row bands cut on a strip boundary, one per
-    usable CPU: the caller's thread runs the top band and one worker thread
-    the bottom band. Before each step the old rows on each side of the cut
-    are copied, so neither band reads a row the other has rewritten, and
-    the step's max |r| is the larger of the two bands'.
+    The two components never read each other, so each step runs as two
+    one-component steps: the caller's thread updates u and, with two usable
+    CPUs, one worker thread updates v; with one, the caller runs both in
+    turn. The step's max |r| is the larger of the two.
 
-    A band runs one cache-sized strip of rows at a time, from the kept old
-    value of the row above the strip; every pixel gets the same
-    floating-point operations in the same order as in a whole-image step, so
-    the result is the same bit for bit for any band count. Within a strip,
-    up + down is one add of the rows above and below each inner row, plus
-    one row add each for the strip's first and last rows (or a single add of
-    the row above and the row below for a strip one row high). Left and
-    right are added as shifts along each field's flat strip, so a row's
-    first column first takes the previous row's last value; that column is
-    redone from its saved up + down sum plus its own (edge-replicated)
-    value, and the last column likewise around the right shift.
+    A component's step runs one cache-sized strip of rows at a time, from
+    the kept old value of the row above the strip; every pixel gets the
+    same floating-point operations in the same order as in a whole-image
+    step, so the field is the same bit for bit on one thread or two. Within
+    a strip, up + down is one add of the rows above and below each inner
+    row, plus one row add each for the strip's first and last rows (or a
+    single add of the row above and the row below for a strip one row
+    high). Left and right are added as shifts along the flat strip, so a
+    row's first column first takes the previous row's last value; that
+    column is redone from its saved up + down sum plus its own
+    (edge-replicated) value, and the last column likewise around the right
+    shift.
     """
-    h, w = g.shape
-    rows = _strip_rows(w)
-    strips = -(-h // rows)
-    seam = np.empty((2, 2, w))  # old rows cut - 1 and cut, copied before each step
-    if _band_count(strips) == 2:
-        cut = _band_cut(strips, rows)
-        bands = [_Band(0, cut, None, seam[:, 1], rows, w), _Band(cut, h, seam[:, 0], w_uv[:, h - 1], rows, w)]
-    else:
-        bands = [_Band(0, h, None, w_uv[:, h - 1], rows, w)]
+    (u, v), (f_x, f_y) = fields, forces
+    w = g.shape[1]
+    u_buffers, v_buffers = _strip_buffers(w), _strip_buffers(w)
+    two = _thread_count() == 2
     # Imported here, off the package's import path; the pool starts its
-    # thread on the first submit, so one band runs without one.
+    # thread on the first submit, so one thread runs without one.
     from concurrent.futures import ThreadPoolExecutor
 
     done, r_max = 0, 0.0
     with ThreadPoolExecutor(max_workers=1) as pool:
         for done in range(1, iters + 1):
-            if len(bands) == 2:
-                np.copyto(seam, w_uv[:, cut - 1 : cut + 1])
-            others = [pool.submit(_band_step, w_uv, f_xy, g, band, mu, dt, tol) for band in bands[1:]]
-            r_max = _band_step(w_uv, f_xy, g, bands[0], mu, dt, tol)
-            for other in others:
-                r_max = max(r_max, other.result())
+            v_step = pool.submit(_step, v, f_y, g, v_buffers, mu, dt, tol) if two else None
+            r_u = _step(u, f_x, g, u_buffers, mu, dt, tol)
+            r_v = v_step.result() if two else _step(v, f_y, g, v_buffers, mu, dt, tol)
+            r_max = max(r_u, r_v)
             if r_max < tol:
                 break
     return done, r_max
@@ -298,30 +281,31 @@ def compute_gvf(
     0.25/mu sits exactly on the boundary and lets the reaction term amplify
     checkerboard noise on strong-gradient inputs.
 
-    The `iters` cap of 200 is the operating point: on the benchmark scenes the
-    residual ends near 1.1e-4 against a tolerance of 1.8e-5, so the stop test
-    does not fire. Each step runs as up to two row bands, one per usable CPU
-    on threads of this process, strip by strip; the field is the same bit for
-    bit for any band count (see `_jacobi`).
+    `iters` = 200 is the operating point, a diffusion time that sets how far
+    the edge force spreads rather than a solver cap: on the benchmark scenes
+    the residual ends near 1.1e-4 against a tolerance of 1.8e-5, so the stop
+    test does not fire. Each step updates u and v on up to two threads of this
+    process, one component each, strip by strip; the field is the same bit
+    for bit on one thread or two (see `_jacobi`).
     """
     if not 0 < mu < np.inf:
         raise ValueError(f"mu must be a positive finite number, got {mu!r}")
-    f_xy, g, g_max = _edge_force(e_img)
-    w_uv = f_xy.copy()  # (2, H, W): u then v, updated in place
+    f_x, f_y, g, g_max = _edge_force(e_img)
+    u, v = f_x.copy(), f_y.copy()  # updated in place
     dt = 1.9 / (8.0 * mu + g_max)
     tol = residual_factor * float(np.sqrt(g_max))
-    done, _ = _jacobi(w_uv, f_xy, g, mu, dt, tol, iters)
-    return GvfField(u=w_uv[0], v=w_uv[1], mu=mu, iters=done)
+    done, _ = _jacobi((u, v), (f_x, f_y), g, mu, dt, tol, iters)
+    return GvfField(u=u, v=v, mu=mu, iters=done)
 
 
 def gvf_residual(field: GvfField, e_img: np.ndarray) -> float:
     """Max-abs GVF residual over all pixels, as `compute_gvf`'s stop test takes it.
 
-    One solver step with dt = 0 on a stacked copy; field.u and field.v stay untouched.
+    One solver step with dt = 0 on copies; field.u and field.v stay untouched.
     Raises ValueError if e_img's shape is not the field's.
     """
     if np.shape(e_img) != field.u.shape:
         raise ValueError(f"e_img has shape {np.shape(e_img)} but the field has shape {field.u.shape}")
-    f_xy, g, _ = _edge_force(e_img)
-    _, r_max = _jacobi(np.stack((field.u, field.v)), f_xy, g, field.mu, 0.0, np.inf, 1)
+    f_x, f_y, g, _ = _edge_force(e_img)
+    _, r_max = _jacobi((field.u.copy(), field.v.copy()), (f_x, f_y), g, field.mu, 0.0, np.inf, 1)
     return r_max

@@ -60,7 +60,8 @@ def load_pnm(data: bytes):
     """Parse PGM (P2/P5) or PPM (P3/P6) bytes.
 
     Returns a gray image for PGM, or an (r, g, b) triple for PPM.
-    Sample values are rescaled to [0, 255] floats.
+    Sample values are rescaled to [0, 255] floats; a sample outside
+    0..maxval raises ValueError.
     """
     tokens = _pnm_tokens(data)
     try:
@@ -88,6 +89,8 @@ def load_pnm(data: bytes):
         values = []
         for _, tok in tokens:
             values.append(int(tok))
+            if not 0 <= values[-1] <= maxval:
+                raise ValueError(f"PNM sample {values[-1]} out of range (0..{maxval})")
             if len(values) == count:
                 break
         if len(values) < count:
@@ -101,7 +104,10 @@ def load_pnm(data: bytes):
         payload = data[start : start + count * dtype.itemsize]
         if len(payload) < count * dtype.itemsize:
             raise ValueError("truncated PNM payload")
-        raw = np.frombuffer(payload, dtype=dtype, count=count).astype(float)
+        samples = np.frombuffer(payload, dtype=dtype, count=count)
+        if samples.max() > maxval:
+            raise ValueError(f"PNM sample {samples.max()} out of range (0..{maxval})")
+        raw = samples.astype(float)
 
     raw = raw * (255.0 / maxval)
     if channels == 1:

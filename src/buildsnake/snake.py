@@ -121,9 +121,22 @@ def system_inverse(n: int, alpha: float, beta: float, gamma: float) -> np.ndarra
     DFT of its first row, gamma + 2 alpha (1 - cos t) + 4 beta (1 - cos t)^2
     >= gamma > 0, and its inverse is the circulant whose first row is the
     inverse DFT of their reciprocals.
+
+    Raises ValueError if weights at the ends of float range break that bound
+    in floating point: the t = 0 eigenvalue is the row's sum, which cancels
+    to 0 or below once gamma is lost next to alpha and beta, and huge weights
+    overflow to inf or NaN. numpy's warnings on the way are silenced, since
+    the check reports the same cases.
     """
-    eig = np.fft.rfft(_system_row(n, alpha, beta, gamma)).real
-    return _circulant(np.fft.irfft(1.0 / eig, n))
+    with np.errstate(all="ignore"):
+        eig = np.fft.rfft(_system_row(n, alpha, beta, gamma)).real
+        row = np.fft.irfft(1.0 / eig, n)
+    if not (np.all(eig > 0) and np.isfinite(eig).all() and np.isfinite(row).all()):
+        raise ValueError(
+            f"alpha={alpha!r}, beta={beta!r} and gamma={gamma!r} give a contour system of {n} points "
+            "whose eigenvalues are not all positive and finite or whose inverse overflows"
+        )
+    return _circulant(row)
 
 
 def evolve_step(

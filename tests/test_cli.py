@@ -17,6 +17,7 @@ from buildsnake.polygonize import building_mbr
 from buildsnake.synthetic import BuildingSpec, SceneSpec, quebec_like_spec
 
 from conftest import pixel_iou
+from test_raster import OUT_OF_RANGE_PNM
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -492,6 +493,8 @@ BAD_TRANSFORM_ARGV = ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{sc
         ("truth", NAN_WKT, ["evaluate", "--extracted", "{scene}/truth.wkt", "--truth", "{bad}"]),
         ("truth", NAN_WKT, ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{scene}/cloud.xyz",
                             "--transform", "{scene}/transform.txt", "--outdir", "{out}", "--truth", "{bad}"]),
+        *[("image", data, ["extract", "--image", "{bad}", "--cloud", "{scene}/cloud.xyz",
+                           "--transform", "{scene}/transform.txt", "--outdir", "{out}"]) for data in OUT_OF_RANGE_PNM],
     ],
 )
 def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, capsys, stage, content, argv):
@@ -550,6 +553,30 @@ def test_extract_image_below_3x3_exits_1(scene_dir, tmp_path, capsys, shape, mod
     )
     assert rc == 1
     assert "error: [snake] image must be at least 3x3 for gradients" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "1e308"), ("--beta", "1e308"), ("--gamma", "1e-300")])
+def test_extract_weights_without_a_snake_system_exit_1(scene_dir, tmp_path, capsys, flag, value):
+    # These weights overflow, or cancel gamma out of, the closed-form
+    # inverse: the run must stop with a [snake] error naming them, not run
+    # on degenerate snakes or report a zero perimeter.
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "extract",
+            "--image", str(scene_dir / "scene.pgm"),
+            "--cloud", str(scene_dir / "cloud.xyz"),
+            "--transform", str(scene_dir / "transform.txt"),
+            "--outdir", str(out),
+            "--mode", "basic",
+            flag, value,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: [snake] alpha=" in err and "gamma=" in err and "not all positive and finite" in err
+    assert "warning" not in err
     assert not (out / "run.json").exists()
 
 

@@ -11,7 +11,6 @@ from buildsnake.config import SnakeConfig
 from buildsnake.energy import (
     GVF_STRIP_ELEMS,
     TERM_EPS,
-    _band_cut,
     _strip_rows,
     compute_gvf,
     gvf_residual,
@@ -142,9 +141,10 @@ def test_image_energy_equals_reference_at_strip_seams(shape, case):
 def test_edge_force_equals_reference_at_strip_seams(shape, case):
     # Signed zeros included: f is negated before its gradient is taken.
     e_img = seam_image(shape, case) - 128.0
-    f_xy, g, g_max = energy._edge_force(e_img)
+    f_x, f_y, g, g_max = energy._edge_force(e_img)
     fx, fy, g_ref = reference_edge_force(e_img)
-    assert f_xy.tobytes() == np.stack((fx, fy)).tobytes()
+    assert f_x.tobytes() == fx.tobytes()
+    assert f_y.tobytes() == fy.tobytes()
     assert g.tobytes() == g_ref.tobytes()
     assert g_max == g_ref.max()
 
@@ -171,20 +171,20 @@ def test_image_energy_peak_memory_is_three_arrays_and_strips():
 
 
 def test_edge_force_peak_memory_is_its_outputs_and_strips():
-    # f_xy and g only: no whole-image copy of f, f_x or f_y.
+    # f_x, f_y and g only: no whole-image copy of f or of its gradient.
     e_img = seam_image(MEM_SHAPE, "random")
     assert traced_peak(energy._edge_force, e_img) <= 3.5 * ARRAY_BYTES
 
 
-@pytest.mark.parametrize("bands", [1, 2])
-def test_gvf_peak_memory_is_its_fields_and_band_buffers(bands, monkeypatch):
-    # f_xy, g and the solved field, five arrays, plus each band's strip
-    # buffers: no f, f_x or f_y copy lives past the edge force.
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gvf_peak_memory_is_its_fields_and_strip_buffers(threads, monkeypatch):
+    # f_x, f_y, g, u and v, five arrays, plus each component's strip
+    # buffers, on one thread or two: no f copy lives past the edge force.
     e_img = seam_image(MEM_SHAPE, "random")
     rows = _strip_rows(MEM_SHAPE[1])
-    force_bands(monkeypatch, bands)
-    band_bytes = 4 * rows * MEM_SHAPE[1] * 8  # the lap and tmp buffers of u and v
-    assert traced_peak(compute_gvf, e_img, 0.2, 2) <= 5 * ARRAY_BYTES + bands * band_bytes + 0.05 * ARRAY_BYTES
+    force_threads(monkeypatch, threads)
+    component_bytes = 2 * rows * MEM_SHAPE[1] * 8  # one component's lap and tmp buffers
+    assert traced_peak(compute_gvf, e_img, 0.2, 2) <= 5 * ARRAY_BYTES + 2 * component_bytes + 0.05 * ARRAY_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -289,40 +289,53 @@ def reference_gvf(e_img, mu=0.2, iters=200, residual_factor=1e-4):
     return u, v, done
 
 
-def expected_spans(shape, bands):
-    """Row spans [r0, r1) of the bands of a GVF step on `shape` with up to `bands` bands."""
-    h, w = shape
-    rows = _strip_rows(w)
-    strips = -(-h // rows)
-    if min(bands, strips) == 1:
-        return {(0, h)}
-    cut = _band_cut(strips, rows)
-    return {(0, cut), (cut, h)}
+def force_threads(monkeypatch, threads, before_step=None):
+    """Runs GVF steps on `threads` threads, whatever the CPUs, calling
+    before_step("u" or "v") ahead of each one-component step if given;
+    returns the list that collects, for each such step, ("u" or "v", the id
+    of the thread that ran it)."""
+    ran = []
+    components = {}  # id of f_x or f_y -> "u" or "v"
+    edge_force, step = energy._edge_force, energy._step
+
+    def edge_force_spy(e_img):
+        f_x, f_y, g, g_max = edge_force(e_img)
+        components[id(f_x)], components[id(f_y)] = "u", "v"
+        return f_x, f_y, g, g_max
+
+    def step_spy(field, f, *args):
+        ran.append((components[id(f)], threading.get_ident()))
+        if before_step is not None:
+            before_step(components[id(f)])
+        return step(field, f, *args)
+
+    monkeypatch.setattr(energy, "_thread_count", lambda: threads)
+    monkeypatch.setattr(energy, "_edge_force", edge_force_spy)
+    monkeypatch.setattr(energy, "_step", step_spy)
+    return ran
 
 
-def force_bands(monkeypatch, bands):
-    """Runs GVF steps in up to `bands` bands, whatever the CPUs; returns the
-    set that collects the (r0, r1) spans of the bands that ran."""
-    spans = set()
-    step = energy._band_step
-
-    def spy(w_uv, f_xy, g, band, *args):
-        spans.add((band.r0, band.r1))
-        return step(w_uv, f_xy, g, band, *args)
-
-    monkeypatch.setattr(energy, "_band_count", lambda strips: min(bands, strips))
-    monkeypatch.setattr(energy, "_band_step", spy)
-    return spans
+def assert_threads(ran, threads, steps):
+    """Each component took `steps` steps, u on the calling thread and v on
+    it too (one thread) or on one other thread (two)."""
+    caller = threading.get_ident()
+    ran_on = {c: {thread for component, thread in ran if component == c} for c in "uv"}
+    assert sorted(component for component, _ in ran) == ["u"] * steps + ["v"] * steps
+    assert ran_on["u"] == {caller}
+    if threads == 1:
+        assert ran_on["v"] == {caller}
+    else:
+        assert len(ran_on["v"]) == 1 and caller not in ran_on["v"]
 
 
 def assert_gvf_matches_reference(monkeypatch, e_img, **kwargs):
-    """compute_gvf in one band and in up to two against reference_gvf, byte for byte."""
+    """compute_gvf on one thread and on two against reference_gvf, byte for byte."""
     u, v, done = reference_gvf(e_img, **kwargs)
-    for bands in (1, 2):
-        spans = force_bands(monkeypatch, bands)
+    for threads in (1, 2):
+        ran = force_threads(monkeypatch, threads)
         field = compute_gvf(e_img, **kwargs)
         monkeypatch.undo()
-        assert spans == expected_spans(e_img.shape, bands)
+        assert_threads(ran, threads, done)
         assert field.iters == done
         assert field.u.tobytes() == u.tobytes()
         assert field.v.tobytes() == v.tobytes()
@@ -331,13 +344,12 @@ def assert_gvf_matches_reference(monkeypatch, e_img, **kwargs):
 
 ROWS = _strip_rows(1000)  # strip height of a field 1000 px wide
 
-# (H, W), from the solver's strip height and band cut: the smallest fields; a
-# single strip (one band) under and at the strip height; two strips, one band
-# each, the second partial and then full; the cut just above a one-row last
-# strip; H not a multiple of the strip height, three strips a band; one row
-# per strip (W > strip size), two bands of two rows and the cut above a last
-# row; one row per strip at W == strip size; four-row strips with a one-row
-# last strip under the cut; and a tall narrow field.
+# (H, W), from the solver's strip height: the smallest fields; a single strip
+# under and at the strip height; two strips, the second partial and then
+# full; a one-row last strip; H not a multiple of the strip height, six
+# strips; one row per strip (W > strip size), four strips and then three; one
+# row per strip at W == strip size; four-row strips with a one-row last strip;
+# and a tall narrow field.
 GVF_ORACLE_SHAPES = [
     (3, 3),
     (3, 41),
@@ -357,17 +369,15 @@ GVF_ORACLE_SHAPES = [
 ]
 
 
-def test_gvf_oracle_shapes_cover_the_band_cuts():
-    layouts = []  # (H, W, rows per strip, strips, first row of the second band)
+def test_gvf_oracle_shapes_cover_the_strip_layouts():
+    layouts = []  # (H, W, rows per strip, strips)
     for h, w in GVF_ORACLE_SHAPES:
         rows = _strip_rows(w)
-        strips = -(-h // rows)
-        layouts.append((h, w, rows, strips, _band_cut(strips, rows)))
-    assert all(cut % rows == 0 and (strips == 1 or 0 < cut < h) for h, w, rows, strips, cut in layouts)
-    assert any(strips > 2 and cut == h - 1 and rows > 1 for h, w, rows, strips, cut in layouts)
-    assert any(strips == 2 and cut == rows for h, w, rows, strips, cut in layouts)
-    assert any(w > GVF_STRIP_ELEMS and strips > 2 for h, w, rows, strips, cut in layouts)
-    assert any(strips == 1 and h > 3 for h, w, rows, strips, cut in layouts)
+        layouts.append((h, w, rows, -(-h // rows)))
+    assert any(strips > 2 and h % rows == 1 and rows > 1 for h, w, rows, strips in layouts)
+    assert any(strips == 2 and h % rows == 0 for h, w, rows, strips in layouts)
+    assert any(w > GVF_STRIP_ELEMS and strips > 2 for h, w, rows, strips in layouts)
+    assert any(strips == 1 and h > 3 for h, w, rows, strips in layouts)
 
 
 @pytest.mark.parametrize("shape", GVF_ORACLE_SHAPES)
@@ -380,7 +390,7 @@ def test_gvf_equals_reference(shape, iters, monkeypatch):
 
 def test_gvf_equals_reference_at_early_stop(monkeypatch):
     # A large residual factor makes the stop test fire well before the cap,
-    # on a single strip and on four strips in two bands.
+    # on a single strip and on four strips.
     for shape in [(40, 40), (3 * ROWS + 4, 1000)]:
         step = np.zeros(shape)
         step[:, shape[1] // 2 :] = 40.0
@@ -400,17 +410,18 @@ def test_gvf_equals_reference_at_early_stop_with_flat_top_strips(monkeypatch):
     assert 1 < field.iters < 400
 
 
-@pytest.mark.parametrize("flat", ["top", "bottom"])
-def test_gvf_equals_reference_at_early_stop_with_a_flat_band(flat, monkeypatch):
-    # With two bands, one band is flat but for its row at the cut, so its
-    # residual falls below the tolerance steps before the other band's,
-    # which still reaches it and skips the rest of its reduction; the solve
-    # must run on until both bands are below.
+@pytest.mark.parametrize("flat", ["u", "v"])
+def test_gvf_equals_reference_at_early_stop_with_a_flat_component(flat, monkeypatch):
+    # An energy constant along x (flat u) or along y (flat v): the flat
+    # component's residual is 0 from the first step, while the other one's
+    # still reaches the tolerance and skips the rest of its reduction; the
+    # solve must run on until both are below.
     shape = (4 * ROWS, 1000)
-    cut = _band_cut(4, ROWS)
-    textured = slice(cut, None) if flat == "top" else slice(0, cut)
-    e_img = np.zeros(shape)
-    e_img[textured] = np.random.default_rng(6).normal(0.0, 0.5, e_img[textured].shape)
+    axis = 1 if flat == "u" else 0
+    profile = np.random.default_rng(6).normal(0.0, 0.5, shape[1 - axis])
+    e_img = np.broadcast_to(np.expand_dims(profile, axis), shape).copy()
+    f_x, f_y, _ = reference_edge_force(e_img)
+    assert not (f_x if flat == "u" else f_y).any()
     field = assert_gvf_matches_reference(monkeypatch, e_img, mu=0.2, iters=400, residual_factor=0.02)
     assert 1 < field.iters < 400
 
@@ -427,18 +438,18 @@ def test_gvf_equals_reference_on_preset_energy(monkeypatch):
 @pytest.mark.parametrize("shape", [(3, 3), (5, 7), (40, 33), (3, 20000), (300, 70), (2 * ROWS + 1, 1000)])
 @pytest.mark.parametrize("iters", [0, 3])
 def test_gvf_residual_equals_reference_over_all_pixels(shape, iters, monkeypatch):
-    # The residual of the solver's stop test, border pixels included, in one
-    # band and in up to two, and the field it is taken of stays as it was.
+    # The residual of the solver's stop test, border pixels included, on one
+    # thread and on two, and the field it is taken of stays as it was.
     rng = np.random.default_rng(shape[0] * 131 + shape[1])
     e_img = rng.normal(0.0, 1.0, shape)
     field = compute_gvf(e_img, mu=0.3, iters=iters)
     u, v = field.u.copy(), field.v.copy()
     ru, rv = reference_residual(u, v, *reference_edge_force(e_img), 0.3)
-    for bands in (1, 2):
-        spans = force_bands(monkeypatch, bands)
+    for threads in (1, 2):
+        ran = force_threads(monkeypatch, threads)
         got = gvf_residual(field, e_img)
         monkeypatch.undo()
-        assert spans == expected_spans(shape, bands)
+        assert_threads(ran, threads, 1)
         assert got == max(np.abs(ru).max(), np.abs(rv).max())
         assert field.u.tobytes() == u.tobytes()
         assert field.v.tobytes() == v.tobytes()
@@ -451,38 +462,36 @@ def test_gvf_residual_rejects_energy_of_another_shape(shape, monkeypatch):
     def no_step(*args):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(energy, "_band_step", no_step)
+    monkeypatch.setattr(energy, "_step", no_step)
     with pytest.raises(ValueError, match=r"\(%d, %d\).*\(40, 50\)" % shape):
         gvf_residual(field, np.zeros(shape))
 
 
-class BandFailure(Exception):
+class StepFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["top", "bottom"])
-def test_gvf_band_failure_propagates_and_joins_the_worker(failing, monkeypatch):
-    # A band that raises on its third step, on either side of the cut, ends
-    # the solve with that exception and leaves no worker thread running.
-    step = energy._band_step
+@pytest.mark.parametrize("failing", ["u", "v"])
+def test_gvf_step_failure_propagates_and_joins_the_worker(failing, monkeypatch):
+    # A component step that raises on its third call, on the caller's thread
+    # (u) or on the worker (v), ends the solve with that exception and leaves
+    # no worker thread running.
     calls = []
 
-    def fail_third(w_uv, f_xy, g, band, *args):
-        if (band.r0 > 0) == (failing == "bottom"):
-            calls.append(band.r0)
+    def fail_third(component):
+        if component == failing:
+            calls.append(component)
             if len(calls) == 3:
-                raise BandFailure(failing)
-        return step(w_uv, f_xy, g, band, *args)
+                raise StepFailure(failing)
 
-    monkeypatch.setattr(energy, "_band_count", lambda strips: min(2, strips))
-    monkeypatch.setattr(energy, "_band_step", fail_third)
+    force_threads(monkeypatch, 2, fail_third)
     e_img = np.random.default_rng(9).normal(0.0, 1.0, (2 * ROWS, 1000))
     raised = []
 
     def solve():
         try:
             compute_gvf(e_img, iters=9)
-        except BandFailure as exc:
+        except StepFailure as exc:
             raised.append(exc)
 
     before = threading.active_count()
@@ -495,15 +504,15 @@ def test_gvf_band_failure_propagates_and_joins_the_worker(failing, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_gvf_concurrent_two_band_solves_match_one_band(monkeypatch):
-    # Four solves of two bands each at once, more threads than CPUs, with the
-    # interpreter switching threads as often as it can: each field must still
-    # be the one-band field, bit for bit.
+def test_gvf_concurrent_two_thread_solves_match_one_thread(monkeypatch):
+    # Four solves of two threads each at once, more threads than CPUs, with
+    # the interpreter switching threads as often as it can: each field must
+    # still be the one-thread field, bit for bit.
     e_img = np.random.default_rng(10).normal(0.0, 1.0, (5 * ROWS + 13, 1000))
-    force_bands(monkeypatch, 1)
+    force_threads(monkeypatch, 1)
     want = compute_gvf(e_img, iters=7)
     monkeypatch.undo()
-    force_bands(monkeypatch, 2)
+    force_threads(monkeypatch, 2)
     fields = [None] * 4
 
     def solve(i):

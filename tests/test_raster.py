@@ -106,6 +106,33 @@ def test_pnm_errors():
         load_pnm(b"P2\n2\n")  # truncated header
 
 
+# Samples outside 0..maxval: a byte over maxval, a negative plain sample, a
+# 16-bit sample over maxval, and a plain sample far beyond any maxval.
+OUT_OF_RANGE_PNM = [
+    b"P5\n2 1\n100\n" + bytes([100, 200]),
+    b"P2\n2 1\n255\n-5 3\n",
+    b"P5\n1 1\n1000\n" + (5000).to_bytes(2, "big"),
+    b"P2\n1 1\n255\n" + str(10**26).encode() + b"\n",
+]
+
+
+@pytest.mark.parametrize("data", OUT_OF_RANGE_PNM, ids=["raw-byte", "plain-negative", "raw-16-bit", "plain-huge"])
+def test_pnm_rejects_samples_outside_maxval(data):
+    with pytest.raises(ValueError, match=r"PNM sample -?\d+ out of range \(0\.\.\d+\)"):
+        load_pnm(data)
+
+
+def test_pnm_samples_at_maxval_load_as_255():
+    for data in [
+        b"P5\n2 1\n100\n" + bytes([0, 100]),
+        b"P2\n2 1\n7\n0 7\n",
+        b"P5\n2 1\n1000\n" + (0).to_bytes(2, "big") + (1000).to_bytes(2, "big"),
+        b"P3\n1 1\n9\n9 0 9\n",
+    ]:
+        img = load_pnm(data)
+        assert (img[0] if isinstance(img, tuple) else img).max() == pytest.approx(255.0)
+
+
 # ---------------------------------------------------------------------------
 # rgb_to_gray
 

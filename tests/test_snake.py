@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -500,6 +502,22 @@ def test_system_inverse_equals_dense_inverse_for_other_weights(n, params):
     scale = np.abs(inv).max()
     assert np.abs(inv - np.linalg.inv(m)).max() <= 1e-12 * scale
     assert np.abs(m @ inv - np.eye(n)).max() <= 1e-12
+
+
+# Weights whose system breaks the eigenvalue bound in floating point: alpha or
+# beta overflows the row to inf; gamma = 1e-300 is lost next to alpha and beta,
+# so the t = 0 eigenvalue (the row's sum) cancels to 0 or below.
+BROKEN_SYSTEM_PARAMS = [(1e308, 0.01, 1.0), (0.01, 1e308, 1.0), (0.01, 0.01, 1e-300)]
+
+
+@pytest.mark.parametrize("params", BROKEN_SYSTEM_PARAMS)
+@pytest.mark.parametrize("n", [1, 2, 5, 32, 177])
+def test_system_inverse_rejects_weights_without_a_positive_finite_spectrum(n, params):
+    # A ValueError naming the weights, and no RuntimeWarning on the way
+    # (pytest turns those into errors).
+    alpha, beta, gamma = params
+    with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}, beta={beta!r} and gamma={gamma!r} ")):
+        system_inverse(n, *params)
 
 
 def test_evolve_step_default_inverse_is_the_closed_form():
