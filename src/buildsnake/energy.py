@@ -1,7 +1,6 @@
 """Image energy and gradient vector flow fields for contour evolution."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,24 +131,16 @@ def _edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 # Pixels per array in one row strip of a GVF step: twice raster.STRIP_ELEMS.
 # 200 steps on the 1024x1024 sparse-gvf energy (seed 7, 2-vCPU Xeon, median
-# of the faster of two solves in each of 5-7 interleaved processes): one
-# thread (taskset -c 0) took 2.76 / 2.33 / 2.50 s at 16k / 32k / 64k, two
-# threads 1.73 s at 32k and 1.54 s at 64k; 64k doubles the strip buffers.
+# of the faster of two solves in each of 5-7 interleaved processes) took
+# 1.73 s at 32k and 1.54 s at 64k; 64k doubles the strip buffers. Pinned to
+# one CPU (taskset -c 0), where the u and v threads share it, 32k took a
+# median 2.33 s (best of three solves, 10 processes).
 GVF_STRIP_ELEMS = 2 * STRIP_ELEMS
 
 
 def _strip_rows(w: int) -> int:
     """Rows per strip of a GVF step on a field `w` pixels wide."""
     return max(1, GVF_STRIP_ELEMS // w)
-
-
-def _thread_count() -> int:
-    """Threads per Jacobi step: one per usable CPU, at most one per component."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
 
 
 def _strip_buffers(w: int) -> tuple:
@@ -228,19 +219,19 @@ def _jacobi(
     |r| (exact below `tol`).
 
     The two components never read each other, so each step runs as two
-    one-component steps: the caller's thread updates u and, with two usable
-    CPUs, one worker thread updates v; with one, the caller runs both in
-    turn. The step's max |r| is the larger of the two.
+    one-component steps: the caller's thread updates u while one worker
+    thread updates v, whatever the CPU count. The step's max |r| is the
+    larger of the two.
 
     A component's step runs one cache-sized strip of rows at a time, from
     the kept old value of the row above the strip; every pixel gets the
     same floating-point operations in the same order as in a whole-image
-    step, so the field is the same bit for bit on one thread or two. Within
-    a strip, up + down is one add of the rows above and below each inner
-    row, plus one row add each for the strip's first and last rows (or a
-    single add of the row above and the row below for a strip one row
-    high). Left and right are added as shifts along the flat strip, so a
-    row's first column first takes the previous row's last value; that
+    step, so the field does not depend on how the threads interleave.
+    Within a strip, up + down is one add of the rows above and below each
+    inner row, plus one row add each for the strip's first and last rows
+    (or a single add of the row above and the row below for a strip one
+    row high). Left and right are added as shifts along the flat strip, so
+    a row's first column first takes the previous row's last value; that
     column is redone from its saved up + down sum plus its own
     (edge-replicated) value, and the last column likewise around the right
     shift.
@@ -248,18 +239,15 @@ def _jacobi(
     (u, v), (f_x, f_y) = fields, forces
     w = g.shape[1]
     u_buffers, v_buffers = _strip_buffers(w), _strip_buffers(w)
-    two = _thread_count() == 2
-    # Imported here, off the package's import path; the pool starts its
-    # thread on the first submit, so one thread runs without one.
+    # Imported here, off the package's import path.
     from concurrent.futures import ThreadPoolExecutor
 
     done, r_max = 0, 0.0
     with ThreadPoolExecutor(max_workers=1) as pool:
         for done in range(1, iters + 1):
-            v_step = pool.submit(_step, v, f_y, g, v_buffers, mu, dt, tol) if two else None
+            v_step = pool.submit(_step, v, f_y, g, v_buffers, mu, dt, tol)
             r_u = _step(u, f_x, g, u_buffers, mu, dt, tol)
-            r_v = v_step.result() if two else _step(v, f_y, g, v_buffers, mu, dt, tol)
-            r_max = max(r_u, r_v)
+            r_max = max(r_u, v_step.result())
             if r_max < tol:
                 break
     return done, r_max
@@ -284,9 +272,9 @@ def compute_gvf(
     `iters` = 200 is the operating point, a diffusion time that sets how far
     the edge force spreads rather than a solver cap: on the benchmark scenes
     the residual ends near 1.1e-4 against a tolerance of 1.8e-5, so the stop
-    test does not fire. Each step updates u and v on up to two threads of this
-    process, one component each, strip by strip; the field is the same bit
-    for bit on one thread or two (see `_jacobi`).
+    test does not fire. Each step updates u on the calling thread and v on
+    one worker thread, strip by strip, with the bits of a whole-image step
+    (see `_jacobi`).
     """
     if not 0 < mu < np.inf:
         raise ValueError(f"mu must be a positive finite number, got {mu!r}")

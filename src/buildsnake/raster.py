@@ -7,6 +7,7 @@ arrays; their metric frame, where one is needed, is a `geometry.GridSpec`.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -23,13 +24,11 @@ __all__ = [
 ]
 
 # Pixels per array in one row strip of the Gaussian blur, so a strip's buffers
-# stay in L2 cache. 60 serial GVF iterations on a 1024x1024 energy took 1.5 /
-# 1.1 / 0.9 / 0.9 / 1.1 s at 4k / 8k / 16k / 32k / 64k (medians of four runs on
-# a 2-vCPU Xeon); 16k and 32k tie. The derivative stages (`row_strips`) use
-# it too: the energy terms past the blur on a 1536x1536 image took 0.130 /
-# 0.129 / 0.120 s at 16k / 32k / 64k (medians of seven runs, same host), a
-# tie within the runs' spread. The GVF solve, which runs in two bands on two
-# threads, uses its own strip size (energy.GVF_STRIP_ELEMS).
+# stay in L2 cache. The derivative stages (`row_strips`) use it too: the
+# energy terms past the blur on a 1536x1536 image took 0.130 / 0.129 / 0.120 s
+# at 16k / 32k / 64k (medians of seven runs on a 2-vCPU Xeon), a tie within
+# the runs' spread. The GVF solve uses its own strip size
+# (energy.GVF_STRIP_ELEMS).
 STRIP_ELEMS = 16384
 
 
@@ -37,23 +36,16 @@ STRIP_ELEMS = 16384
 # Netpbm parsing / writing
 
 
+# A # comment to the end of its line, or a token: a run of bytes that are
+# neither ASCII whitespace nor #.
+_PNM_TOKEN = re.compile(rb"#[^\n]*|[^\s#]+")
+
+
 def _pnm_tokens(data: bytes):
-    """Yield whitespace-separated header/ASCII tokens, skipping # comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c == b"#":
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            yield i, data[i:j]
-            i = j
+    """Yield (position, token) for the whitespace-separated header/ASCII tokens, skipping # comments."""
+    for match in _PNM_TOKEN.finditer(data):
+        if data[match.start()] != ord("#"):
+            yield match.start(), match[0]
 
 
 def load_pnm(data: bytes):

@@ -24,7 +24,6 @@ from .raster import gradient
 __all__ = [
     "prepare_fields",
     "resample_closed",
-    "system_matrix",
     "system_inverse",
     "evolve_step",
     "sample_force",
@@ -109,11 +108,6 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return row[idx - idx[:, None]]  # j - i > -n, and negative indices wrap
 
 
-def system_matrix(n: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Dense gamma I + A for the closed contour's internal-energy operator."""
-    return _circulant(_system_row(n, alpha, beta, gamma))
-
-
 def system_inverse(n: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Dense (gamma I + A)^-1 in closed form.
 
@@ -123,15 +117,18 @@ def system_inverse(n: int, alpha: float, beta: float, gamma: float) -> np.ndarra
     inverse DFT of their reciprocals.
 
     Raises ValueError if weights at the ends of float range break that bound
-    in floating point: the t = 0 eigenvalue is the row's sum, which cancels
-    to 0 or below once gamma is lost next to alpha and beta, and huge weights
-    overflow to inf or NaN. numpy's warnings on the way are silenced, since
-    the check reports the same cases.
+    in floating point. The t = 0 eigenvalue is the row's sum, which cancels
+    to rounding residue of alpha and beta, of either sign, once gamma is
+    lost next to them: gamma must exceed n rounding units of the largest
+    eigenvalue, gamma + 4 alpha + 16 beta, which bounds the summation error.
+    Huge weights overflow to inf or NaN. numpy's warnings on the way are
+    silenced, since the check reports the same cases.
     """
     with np.errstate(all="ignore"):
         eig = np.fft.rfft(_system_row(n, alpha, beta, gamma)).real
         row = np.fft.irfft(1.0 / eig, n)
-    if not (np.all(eig > 0) and np.isfinite(eig).all() and np.isfinite(row).all()):
+        resolved = gamma > n * np.finfo(float).eps * (abs(gamma) + 4.0 * abs(alpha) + 16.0 * abs(beta))
+    if not (resolved and np.all(eig > 0) and np.isfinite(eig).all() and np.isfinite(row).all()):
         raise ValueError(
             f"alpha={alpha!r}, beta={beta!r} and gamma={gamma!r} give a contour system of {n} points "
             "whose eigenvalues are not all positive and finite or whose inverse overflows"
@@ -139,17 +136,10 @@ def system_inverse(n: int, alpha: float, beta: float, gamma: float) -> np.ndarra
     return _circulant(row)
 
 
-def evolve_step(
-    points: np.ndarray,
-    force: np.ndarray,
-    cfg: SnakeConfig,
-    inv_system: np.ndarray | None = None,
-) -> np.ndarray:
-    """One semi-implicit step; the linear system is solved exactly."""
-    pts = np.asarray(points, dtype=float)
-    if inv_system is None:
-        inv_system = system_inverse(len(pts), cfg.alpha, cfg.beta, cfg.gamma)
-    return inv_system @ (cfg.gamma * pts + force)
+def evolve_step(points: np.ndarray, force: np.ndarray, cfg: SnakeConfig, inv_system: np.ndarray) -> np.ndarray:
+    """One semi-implicit step, x_new = `inv_system` (gamma x + F), where
+    `inv_system` is `system_inverse` for the contour's size and cfg's weights."""
+    return inv_system @ (cfg.gamma * np.asarray(points, dtype=float) + force)
 
 
 def sample_force(force: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:

@@ -27,13 +27,14 @@ from buildsnake.snake import (
     evolve_step,
     shape_force,
     shape_sim_energy,
-    system_matrix,
+    system_inverse,
 )
 
 from conftest import match_truth, pixel_iou
 from test_geometry import hausdorff_oracle, mbr_area_sweep
 from test_polygonize import L_SHAPE, angle_error_mod90, noisy_outline
 from test_raster import flood_fill_count
+from test_snake import reference_system_matrix
 
 
 @pytest.fixture
@@ -241,8 +242,8 @@ def test_criterion_8_solver_numerics(report):
     th = np.linspace(0, 2 * np.pi, n, endpoint=False)
     contour = np.column_stack([32 + 20 * np.cos(th), 32 + 20 * np.sin(th)])
     force = rng.normal(0, 1.0, (n, 2))
-    new = evolve_step(contour, force, cfg)
-    m = system_matrix(n, cfg.alpha, cfg.beta, cfg.gamma)
+    new = evolve_step(contour, force, cfg, system_inverse(n, cfg.alpha, cfg.beta, cfg.gamma))
+    m = reference_system_matrix(n, cfg.alpha, cfg.beta, cfg.gamma)
     resid = float(np.abs(m @ new - (cfg.gamma * contour + force)).max())
     solve_ok = resid <= 1e-8
 

@@ -556,11 +556,14 @@ def test_extract_image_below_3x3_exits_1(scene_dir, tmp_path, capsys, shape, mod
     assert not (out / "run.json").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--alpha", "1e308"), ("--beta", "1e308"), ("--gamma", "1e-300")])
+@pytest.mark.parametrize(
+    "flag, value", [("--alpha", "1e308"), ("--beta", "1e308"), ("--gamma", "1e-300"), ("--gamma", "1e-17")]
+)
 def test_extract_weights_without_a_snake_system_exit_1(scene_dir, tmp_path, capsys, flag, value):
     # These weights overflow, or cancel gamma out of, the closed-form
-    # inverse: the run must stop with a [snake] error naming them, not run
-    # on degenerate snakes or report a zero perimeter.
+    # inverse (at 1e-17 the cancelled eigenvalue may still be positive):
+    # the run must stop with a [snake] error naming them, not run on
+    # degenerate snakes or report a zero perimeter.
     out = tmp_path / "out"
     rc = main(
         [

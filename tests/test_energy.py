@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,13 +179,11 @@ def test_edge_force_peak_memory_is_its_outputs_and_strips():
     assert traced_peak(energy._edge_force, e_img) <= 3.5 * ARRAY_BYTES
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_gvf_peak_memory_is_its_fields_and_strip_buffers(threads, monkeypatch):
+def test_gvf_peak_memory_is_its_fields_and_strip_buffers():
     # f_x, f_y, g, u and v, five arrays, plus each component's strip
-    # buffers, on one thread or two: no f copy lives past the edge force.
+    # buffers: no f copy lives past the edge force.
     e_img = seam_image(MEM_SHAPE, "random")
     rows = _strip_rows(MEM_SHAPE[1])
-    force_threads(monkeypatch, threads)
     component_bytes = 2 * rows * MEM_SHAPE[1] * 8  # one component's lap and tmp buffers
     assert traced_peak(compute_gvf, e_img, 0.2, 2) <= 5 * ARRAY_BYTES + 2 * component_bytes + 0.05 * ARRAY_BYTES
 
@@ -289,11 +290,10 @@ def reference_gvf(e_img, mu=0.2, iters=200, residual_factor=1e-4):
     return u, v, done
 
 
-def force_threads(monkeypatch, threads, before_step=None):
-    """Runs GVF steps on `threads` threads, whatever the CPUs, calling
-    before_step("u" or "v") ahead of each one-component step if given;
-    returns the list that collects, for each such step, ("u" or "v", the id
-    of the thread that ran it)."""
+def spy_steps(monkeypatch, before_step=None):
+    """Records each one-component GVF step, calling before_step("u" or "v")
+    ahead of it if given; returns the list that collects, for each such
+    step, ("u" or "v", the id of the thread that ran it)."""
     ran = []
     components = {}  # id of f_x or f_y -> "u" or "v"
     edge_force, step = energy._edge_force, energy._step
@@ -309,36 +309,31 @@ def force_threads(monkeypatch, threads, before_step=None):
             before_step(components[id(f)])
         return step(field, f, *args)
 
-    monkeypatch.setattr(energy, "_thread_count", lambda: threads)
     monkeypatch.setattr(energy, "_edge_force", edge_force_spy)
     monkeypatch.setattr(energy, "_step", step_spy)
     return ran
 
 
-def assert_threads(ran, threads, steps):
+def assert_threads(ran, steps):
     """Each component took `steps` steps, u on the calling thread and v on
-    it too (one thread) or on one other thread (two)."""
+    one other thread."""
     caller = threading.get_ident()
     ran_on = {c: {thread for component, thread in ran if component == c} for c in "uv"}
     assert sorted(component for component, _ in ran) == ["u"] * steps + ["v"] * steps
     assert ran_on["u"] == {caller}
-    if threads == 1:
-        assert ran_on["v"] == {caller}
-    else:
-        assert len(ran_on["v"]) == 1 and caller not in ran_on["v"]
+    assert len(ran_on["v"]) == 1 and caller not in ran_on["v"]
 
 
 def assert_gvf_matches_reference(monkeypatch, e_img, **kwargs):
-    """compute_gvf on one thread and on two against reference_gvf, byte for byte."""
+    """compute_gvf against reference_gvf, byte for byte, with v on a worker thread."""
     u, v, done = reference_gvf(e_img, **kwargs)
-    for threads in (1, 2):
-        ran = force_threads(monkeypatch, threads)
-        field = compute_gvf(e_img, **kwargs)
-        monkeypatch.undo()
-        assert_threads(ran, threads, done)
-        assert field.iters == done
-        assert field.u.tobytes() == u.tobytes()
-        assert field.v.tobytes() == v.tobytes()
+    ran = spy_steps(monkeypatch)
+    field = compute_gvf(e_img, **kwargs)
+    monkeypatch.undo()
+    assert_threads(ran, done)
+    assert field.iters == done
+    assert field.u.tobytes() == u.tobytes()
+    assert field.v.tobytes() == v.tobytes()
     return field
 
 
@@ -438,21 +433,20 @@ def test_gvf_equals_reference_on_preset_energy(monkeypatch):
 @pytest.mark.parametrize("shape", [(3, 3), (5, 7), (40, 33), (3, 20000), (300, 70), (2 * ROWS + 1, 1000)])
 @pytest.mark.parametrize("iters", [0, 3])
 def test_gvf_residual_equals_reference_over_all_pixels(shape, iters, monkeypatch):
-    # The residual of the solver's stop test, border pixels included, on one
-    # thread and on two, and the field it is taken of stays as it was.
+    # The residual of the solver's stop test, border pixels included, and
+    # the field it is taken of stays as it was.
     rng = np.random.default_rng(shape[0] * 131 + shape[1])
     e_img = rng.normal(0.0, 1.0, shape)
     field = compute_gvf(e_img, mu=0.3, iters=iters)
     u, v = field.u.copy(), field.v.copy()
     ru, rv = reference_residual(u, v, *reference_edge_force(e_img), 0.3)
-    for threads in (1, 2):
-        ran = force_threads(monkeypatch, threads)
-        got = gvf_residual(field, e_img)
-        monkeypatch.undo()
-        assert_threads(ran, threads, 1)
-        assert got == max(np.abs(ru).max(), np.abs(rv).max())
-        assert field.u.tobytes() == u.tobytes()
-        assert field.v.tobytes() == v.tobytes()
+    ran = spy_steps(monkeypatch)
+    got = gvf_residual(field, e_img)
+    monkeypatch.undo()
+    assert_threads(ran, 1)
+    assert got == max(np.abs(ru).max(), np.abs(rv).max())
+    assert field.u.tobytes() == u.tobytes()
+    assert field.v.tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(50, 40), (25, 80)])
@@ -484,7 +478,7 @@ def test_gvf_step_failure_propagates_and_joins_the_worker(failing, monkeypatch):
             if len(calls) == 3:
                 raise StepFailure(failing)
 
-    force_threads(monkeypatch, 2, fail_third)
+    spy_steps(monkeypatch, fail_third)
     e_img = np.random.default_rng(9).normal(0.0, 1.0, (2 * ROWS, 1000))
     raised = []
 
@@ -504,15 +498,12 @@ def test_gvf_step_failure_propagates_and_joins_the_worker(failing, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_gvf_concurrent_two_thread_solves_match_one_thread(monkeypatch):
+def test_gvf_concurrent_two_thread_solves_match_one_thread():
     # Four solves of two threads each at once, more threads than CPUs, with
     # the interpreter switching threads as often as it can: each field must
-    # still be the one-thread field, bit for bit.
+    # still be the one-thread whole-image reference's, bit for bit.
     e_img = np.random.default_rng(10).normal(0.0, 1.0, (5 * ROWS + 13, 1000))
-    force_threads(monkeypatch, 1)
-    want = compute_gvf(e_img, iters=7)
-    monkeypatch.undo()
-    force_threads(monkeypatch, 2)
+    u, v, _ = reference_gvf(e_img, iters=7)
     fields = [None] * 4
 
     def solve(i):
@@ -530,8 +521,55 @@ def test_gvf_concurrent_two_thread_solves_match_one_thread(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     for field in fields:
-        assert field.u.tobytes() == want.u.tobytes()
-        assert field.v.tobytes() == want.v.tobytes()
+        assert field.u.tobytes() == u.tobytes()
+        assert field.v.tobytes() == v.tobytes()
+
+
+# Pinned to one CPU before numpy loads, solves the energy in argv[1] with
+# the step spy on, checks the threads and saves the field to argv[2].
+ONE_CPU_SOLVE = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+import pytest
+from buildsnake.energy import compute_gvf
+from test_energy import assert_threads, spy_steps
+assert len(os.sched_getaffinity(0)) == 1
+with pytest.MonkeyPatch.context() as monkeypatch:
+    ran = spy_steps(monkeypatch)
+    field = compute_gvf(np.load(sys.argv[1]), iters=400, residual_factor=0.05)
+assert_threads(ran, field.iters)
+np.savez(sys.argv[2], u=field.u, v=field.v, iters=field.iters)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
+def test_gvf_on_one_cpu_equals_reference(tmp_path):
+    # The affinity is set in a child process, so it binds that process only:
+    # v still runs on a worker thread, and the field and its early stop are
+    # the reference's, bit for bit.
+    shape = (3 * ROWS + 4, 1000)
+    step = np.zeros(shape)
+    step[:, shape[1] // 2 :] = 40.0
+    e_img = gaussian_smooth(step, 3.0) + np.random.default_rng(4).normal(0.0, 0.5, shape)
+    np.save(tmp_path / "e_img.npy", e_img)
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", ONE_CPU_SOLVE, "e_img.npy", "field.npz"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    got = np.load(tmp_path / "field.npz")
+    u, v, done = reference_gvf(e_img, iters=400, residual_factor=0.05)
+    assert 1 < done < 400
+    assert int(got["iters"]) == done
+    assert got["u"].tobytes() == u.tobytes()
+    assert got["v"].tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9)])

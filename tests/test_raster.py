@@ -8,6 +8,7 @@ from scipy import ndimage
 
 from buildsnake.raster import (
     STRIP_ELEMS,
+    _pnm_tokens,
     connected_components,
     disk_element,
     gaussian_kernel,
@@ -104,6 +105,38 @@ def test_pnm_errors():
         load_pnm(b"P5\n2 2\n70000\n" + bytes(8))  # maxval too large
     with pytest.raises(ValueError):
         load_pnm(b"P2\n2\n")  # truncated header
+
+
+def reference_pnm_tokens(data: bytes):
+    """(position, token) of each whitespace-separated token, skipping # comments, byte by byte."""
+    i = 0
+    n = len(data)
+    while i < n:
+        c = data[i : i + 1]
+        if c == b"#":
+            j = data.find(b"\n", i)
+            i = n if j < 0 else j + 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
+                j += 1
+            yield i, data[i:j]
+            i = j
+
+
+# Digits, #, every ASCII whitespace byte, and bytes that are whitespace only
+# outside ASCII (NUL, \x1c, \x85, \xa0) or not text at all (\xff).
+PNM_FUZZ_BYTES = b"0123456789# \n\r\t\x0b\x0c\x00\x1c\x85\xa0\xff"
+
+
+def test_pnm_tokens_equal_reference_on_fuzzed_bytes():
+    rng = np.random.default_rng(17)
+    alphabet = np.frombuffer(PNM_FUZZ_BYTES, dtype=np.uint8)
+    for _ in range(20_000):
+        data = rng.choice(alphabet, int(rng.integers(0, 40))).tobytes()
+        assert list(_pnm_tokens(data)) == list(reference_pnm_tokens(data)), data
 
 
 # Samples outside 0..maxval: a byte over maxval, a negative plain sample, a

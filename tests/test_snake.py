@@ -20,7 +20,6 @@ from buildsnake.snake import (
     shape_force,
     shape_sim_energy,
     system_inverse,
-    system_matrix,
 )
 
 from conftest import pixel_iou, traced_peak
@@ -426,10 +425,15 @@ def test_basic_prepare_fields_peak_memory_is_three_arrays_and_strips():
 # evolve_step
 
 
+def evolve(pts, force, cfg):
+    """One evolve_step with the closed-form inverse, as run_snake passes it."""
+    return evolve_step(pts, force, cfg, system_inverse(len(pts), cfg.alpha, cfg.beta, cfg.gamma))
+
+
 def test_evolve_fixed_point_without_forces():
     cfg = SnakeConfig(alpha=0.0, beta=0.0, gamma=1.0)
     pts = circle(32)
-    new = evolve_step(pts, np.zeros_like(pts), cfg)
+    new = evolve(pts, np.zeros_like(pts), cfg)
     assert np.allclose(new, pts, atol=1e-12)
 
 
@@ -437,14 +441,14 @@ def test_evolve_tension_shrinks_perimeter():
     cfg = SnakeConfig(alpha=0.05, beta=0.0, gamma=1.0)
     rng = np.random.default_rng(11)
     pts = circle(48) + rng.normal(0, 1.0, (48, 2))
-    new = evolve_step(pts, np.zeros_like(pts), cfg)
+    new = evolve(pts, np.zeros_like(pts), cfg)
     assert polygon_perimeter(new) < polygon_perimeter(pts)
 
 
 def test_evolve_circle_stays_circular():
     cfg = SnakeConfig(alpha=0.1, beta=0.0, gamma=1.0)
     pts = circle(64)
-    new = evolve_step(pts, np.zeros_like(pts), cfg)
+    new = evolve(pts, np.zeros_like(pts), cfg)
     radii = np.hypot(new[:, 0] - 32, new[:, 1] - 32)
     assert radii.std() / radii.mean() < 0.01
 
@@ -454,8 +458,8 @@ def test_evolve_linear_system_residual():
     rng = np.random.default_rng(13)
     pts = circle(40) + rng.normal(0, 0.5, (40, 2))
     force = rng.normal(0, 1.0, (40, 2))
-    new = evolve_step(pts, force, cfg)
-    m = system_matrix(40, cfg.alpha, cfg.beta, cfg.gamma)
+    new = evolve(pts, force, cfg)
+    m = reference_system_matrix(40, cfg.alpha, cfg.beta, cfg.gamma)
     resid = m @ new - (cfg.gamma * pts + force)
     assert np.abs(resid).max() <= 1e-8
 
@@ -481,13 +485,16 @@ SYSTEM_PARAMS = [(0.01, 0.01, 1.0), (0.0, 0.0, 1.0), (0.5, 0.3, 0.2), (2.0, 5.0,
 
 @pytest.mark.parametrize("params", SYSTEM_PARAMS)
 def test_system_matrix_equals_band_reference(params):
+    # The circulant that system_inverse diagonalizes, bit for bit, with the
+    # bands that wrap onto one offset for n < 5 added in the same order.
     for n in range(1, 13):
-        assert system_matrix(n, *params).tobytes() == reference_system_matrix(n, *params).tobytes()
+        m = snake_module._circulant(snake_module._system_row(n, *params))
+        assert m.tobytes() == reference_system_matrix(n, *params).tobytes()
 
 
 def test_system_inverse_equals_dense_inverse_for_every_size():
     for n in range(1, 601):
-        m = system_matrix(n, 0.01, 0.01, 1.0)
+        m = reference_system_matrix(n, 0.01, 0.01, 1.0)
         inv = system_inverse(n, 0.01, 0.01, 1.0)
         assert np.abs(inv - np.linalg.inv(m)).max() <= 1e-12, n
         assert np.abs(m @ inv - np.eye(n)).max() <= 1e-12, n
@@ -496,7 +503,7 @@ def test_system_inverse_equals_dense_inverse_for_every_size():
 @pytest.mark.parametrize("params", SYSTEM_PARAMS[1:])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 32, 151, 600])
 def test_system_inverse_equals_dense_inverse_for_other_weights(n, params):
-    m = system_matrix(n, *params)
+    m = reference_system_matrix(n, *params)
     inv = system_inverse(n, *params)
     # The inverse scales as 1 / gamma; compare relative to its largest entry.
     scale = np.abs(inv).max()
@@ -505,9 +512,10 @@ def test_system_inverse_equals_dense_inverse_for_other_weights(n, params):
 
 
 # Weights whose system breaks the eigenvalue bound in floating point: alpha or
-# beta overflows the row to inf; gamma = 1e-300 is lost next to alpha and beta,
-# so the t = 0 eigenvalue (the row's sum) cancels to 0 or below.
-BROKEN_SYSTEM_PARAMS = [(1e308, 0.01, 1.0), (0.01, 1e308, 1.0), (0.01, 0.01, 1e-300)]
+# beta overflows the row to inf; gamma = 1e-300 or 1e-17 is lost next to alpha
+# and beta, so the t = 0 eigenvalue (the row's sum) cancels to rounding residue
+# of either sign.
+BROKEN_SYSTEM_PARAMS = [(1e308, 0.01, 1.0), (0.01, 1e308, 1.0), (0.01, 0.01, 1e-300), (0.01, 0.01, 1e-17)]
 
 
 @pytest.mark.parametrize("params", BROKEN_SYSTEM_PARAMS)
@@ -520,13 +528,15 @@ def test_system_inverse_rejects_weights_without_a_positive_finite_spectrum(n, pa
         system_inverse(n, *params)
 
 
-def test_evolve_step_default_inverse_is_the_closed_form():
-    cfg = SnakeConfig()
-    rng = np.random.default_rng(5)
-    pts = circle(45) + rng.normal(0, 0.5, (45, 2))
-    force = rng.normal(0, 1.0, (45, 2))
-    inv = system_inverse(45, cfg.alpha, cfg.beta, cfg.gamma)
-    assert evolve_step(pts, force, cfg).tobytes() == evolve_step(pts, force, cfg, inv).tobytes()
+def test_system_inverse_rejects_gamma_lost_next_to_alpha_and_beta_at_every_size():
+    # Cancellation leaves the t = 0 eigenvalue a residue of alpha and beta
+    # that may still be positive; a gamma well above that residue passes.
+    for n in range(1, 601):
+        for gamma in (1e-17, 1e-300):
+            with pytest.raises(ValueError, match="give a contour system"):
+                system_inverse(n, 0.01, 0.01, gamma)
+        for gamma in (1e-12, 1.0):
+            system_inverse(n, 0.01, 0.01, gamma)
 
 
 # ---------------------------------------------------------------------------
