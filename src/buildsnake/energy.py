@@ -7,7 +7,7 @@ import numpy as np
 
 from .raster import STRIP_ELEMS, gaussian_smooth, row_strips
 
-__all__ = ["GvfField", "image_energy", "image_energy_terms", "compute_gvf", "gvf_residual"]
+__all__ = ["GvfField", "image_energy", "image_energy_terms", "edge_force", "compute_gvf", "gvf_residual"]
 
 # Regularizer for the termination-term denominator on flat regions.
 TERM_EPS = 1e-6
@@ -93,36 +93,51 @@ def image_energy(
     Normalization makes the published weights meaningful across images with
     different dynamic ranges. The terms are weighed in their own arrays and
     summed into the line term's, so the energy holds no array beyond
-    `image_energy_terms`' three.
+    `image_energy_terms`' three. Raises ValueError if weights near the end
+    of float range make the sum overflow.
     """
     energy, e_edge, e_term = image_energy_terms(gray, sigma)
     _weigh(energy, w_line)
-    energy += _weigh(e_edge, w_edge)
-    energy += _weigh(e_term, w_term)
+    with np.errstate(over="ignore"):  # reported by the check below
+        energy += _weigh(e_edge, w_edge)
+        energy += _weigh(e_term, w_term)
+    if not (np.isfinite(energy.min()) and np.isfinite(energy.max())):
+        raise ValueError(f"w_line={w_line!r}, w_edge={w_edge!r} and w_term={w_term!r} give a non-finite image energy")
     return energy
 
 
-def _edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(f_x, f_y, g = f_x^2 + f_y^2, max g) of f = -e_img, each (H, W).
+def edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge force (f_x, f_y) = grad f of f = -e_img, each (H, W): `basic`
+    mode's external force, and the field the GVF diffuses.
 
-    Runs one strip of rows at a time, each strip's gradient taken on its
-    block of f with one halo row on each side (`raster.row_strips`), so the
-    bits are whole-image np.gradient's while no whole-image copy of f or
-    of its gradient is made. Raises ValueError where a NaN residual would
-    read as converged: on a non-finite e_img or an overflowing g.
+    One strip of rows at a time, each strip's gradient taken on its block of
+    f with one halo row on each side (`raster.row_strips`): whole-image
+    np.gradient's bits, with no whole-image copy of f or of its gradient.
+    Raises ValueError on a non-finite e_img.
     """
     e_img = np.asarray(e_img, dtype=float)
     strips = row_strips(e_img.shape, 1)
-    f_x, f_y, g = np.empty(e_img.shape), np.empty(e_img.shape), np.empty(e_img.shape)
+    f_x, f_y = np.empty(e_img.shape), np.empty(e_img.shape)
     for rows, block, inner in strips:
         f = np.negative(e_img[block])
         if not np.isfinite(f).all():
             raise ValueError("e_img must be finite")
         fy, fx = np.gradient(f)
-        fx, fy = fx[inner], fy[inner]
-        np.multiply(fx, fx, out=g[rows])
-        g[rows] += fy * fy
-        f_x[rows], f_y[rows] = fx, fy
+        f_x[rows], f_y[rows] = fx[inner], fy[inner]
+    return f_x, f_y
+
+
+def _gvf_forces(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(f_x, f_y, g = f_x^2 + f_y^2, max g) of `edge_force(e_img)`, g a strip at a time.
+
+    Raises ValueError on an overflowing g, whose NaN residual would read as converged.
+    """
+    f_x, f_y = edge_force(e_img)
+    g = np.empty(f_x.shape)
+    with np.errstate(over="ignore"):  # reported by the check on max g
+        for rows, _, _ in row_strips(g.shape, 0):
+            np.multiply(f_x[rows], f_x[rows], out=g[rows])
+            g[rows] += f_y[rows] * f_y[rows]
     g_max = float(g.max())
     if not np.isfinite(g_max):
         raise ValueError("the gradient of e_img overflows")
@@ -278,7 +293,7 @@ def compute_gvf(
     """
     if not 0 < mu < np.inf:
         raise ValueError(f"mu must be a positive finite number, got {mu!r}")
-    f_x, f_y, g, g_max = _edge_force(e_img)
+    f_x, f_y, g, g_max = _gvf_forces(e_img)
     u, v = f_x.copy(), f_y.copy()  # updated in place
     dt = 1.9 / (8.0 * mu + g_max)
     tol = residual_factor * float(np.sqrt(g_max))
@@ -294,6 +309,6 @@ def gvf_residual(field: GvfField, e_img: np.ndarray) -> float:
     """
     if np.shape(e_img) != field.u.shape:
         raise ValueError(f"e_img has shape {np.shape(e_img)} but the field has shape {field.u.shape}")
-    f_x, f_y, g, _ = _edge_force(e_img)
+    f_x, f_y, g, _ = _gvf_forces(e_img)
     _, r_max = _jacobi((field.u.copy(), field.v.copy()), (f_x, f_y), g, field.mu, 0.0, np.inf, 1)
     return r_max

@@ -1,4 +1,7 @@
-"""Netpbm I/O, smoothing, gradients and binary-grid ops.
+"""Netpbm I/O, smoothing, row strips for derivative stencils and binary-grid ops.
+
+The image derivatives themselves live in `energy`: the energy terms, and the
+one edge-force pass, `energy.edge_force`, that drives every snake mode.
 
 Gray images are (H, W) float64 arrays with intensities in [0, 255],
 indexed [row, col] = [y, x]. Morphology and labelling work on (H, W) bool
@@ -16,7 +19,6 @@ __all__ = [
     "save_pgm",
     "rgb_to_gray",
     "gaussian_smooth",
-    "gradient",
     "row_strips",
     "morphological_open",
     "connected_components",
@@ -159,8 +161,6 @@ def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     k = gaussian_kernel(sigma)
-    if len(k) == 1:  # sigma 0, or too small for a finite kernel
-        return img.copy()
     r = len(k) // 2
     h, w = img.shape
     rows = min(h, max(1, STRIP_ELEMS // w))
@@ -207,22 +207,6 @@ def row_strips(shape: tuple[int, ...], halo: int) -> list[tuple[slice, slice, sl
         r1, lo = min(r0 + rows, h), max(0, r0 - halo)
         strips.append((slice(r0, r1), slice(lo, min(h, r1 + halo)), slice(r0 - lo, r1 - lo)))
     return strips
-
-
-def gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy), central differences inside, one-sided at borders.
-
-    np.gradient's bits, one strip of rows at a time with one halo row on
-    each side (`row_strips`): it holds the two outputs and one block's
-    temporaries, not np.gradient's whole-image ones.
-    """
-    img = np.asarray(img, dtype=float)
-    strips = row_strips(img.shape, 1)
-    gx, gy = np.empty(img.shape), np.empty(img.shape)
-    for rows, block, inner in strips:
-        by, bx = np.gradient(img[block])
-        gx[rows], gy[rows] = bx[inner], by[inner]
-    return gx, gy
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ import math
 import numpy as np
 
 from .config import SnakeConfig
-from .energy import compute_gvf, image_energy
+from .energy import compute_gvf, edge_force, image_energy
 from .geometry import hausdorff_distance, polygon_perimeter
-from .raster import gradient
 
 __all__ = [
     "prepare_fields",
@@ -49,21 +48,21 @@ def _rescale_force(fx: np.ndarray, fy: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> tuple[np.ndarray, np.ndarray]:
     """The mode's external force on `gray` as a pair (f_x, f_y) of (H, W) arrays.
 
-    basic uses the raw potential force -grad(E_img); gvf and proposed use
-    the diffused GVF field in its place. Either is rescaled to unit peak
-    magnitude, the GVF field on copies, so the solved field stays as
+    Every mode starts from the one edge force -grad(E_img) of
+    `energy.edge_force`: basic uses it as the raw potential force, and gvf
+    and proposed diffuse it into a GVF field. Either is rescaled to unit
+    peak magnitude, the GVF field on copies, so the solved field stays as
     `compute_gvf` returned it. One pair serves every snake on the image.
 
-    The energy, its gradient and the GVF's edge force are taken one strip
-    of rows at a time (`raster.row_strips`), with the bits of whole-image
-    np.gradient calls: in basic mode at most three image-sized arrays are
-    held beyond `gray`.
+    The energy and the edge force are taken one strip of rows at a time
+    (`raster.row_strips`), with the bits of whole-image np.gradient calls:
+    in basic mode at most three image-sized arrays are held beyond `gray`.
     """
     e_img = image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     if cfg.mode == "basic":
-        ex, ey = gradient(e_img)
+        f_x, f_y = edge_force(e_img)
         del e_img
-        return _rescale_force(np.negative(ex, out=ex), np.negative(ey, out=ey))
+        return _rescale_force(f_x, f_y)
     field = compute_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
     return _rescale_force(field.u.copy(), field.v.copy())
 

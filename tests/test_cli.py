@@ -583,6 +583,36 @@ def test_extract_weights_without_a_snake_system_exit_1(scene_dir, tmp_path, caps
     assert not (out / "run.json").exists()
 
 
+OVERFLOWING_SUM = (["--w-line", "1e308", "--w-edge", "1e308"], "w_line=1e+308, w_edge=1e+308 and w_term=0.01 give")
+OVERFLOWING_GVF = (["--w-edge", "1e200"], "the gradient of e_img overflows")
+
+
+@pytest.mark.parametrize(
+    "mode, weights, message",
+    [pytest.param(mode, *OVERFLOWING_SUM, id=f"{mode}-energy") for mode in ("basic", "gvf", "proposed")]
+    + [pytest.param(mode, *OVERFLOWING_GVF, id=f"{mode}-gvf-step") for mode in ("gvf", "proposed")],
+)
+def test_extract_energy_weights_that_overflow_exit_1(scene_dir, tmp_path, capsys, mode, weights, message):
+    # Weighted energy terms that sum past float range, or a finite energy
+    # whose squared edge force overflows the GVF's step: every mode must
+    # stop with a [snake] error, not run NaN snakes or end on a warning.
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "extract",
+            "--image", str(scene_dir / "scene.pgm"),
+            "--cloud", str(scene_dir / "cloud.xyz"),
+            "--transform", str(scene_dir / "transform.txt"),
+            "--outdir", str(out),
+            "--mode", mode,
+            *weights,
+        ]
+    )
+    assert rc == 1
+    assert f"error: [snake] {message}" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
 def test_evaluate_degenerate_polygon_exits_1(small_scene_dir, tmp_path, capsys):
     bad = tmp_path / "bad.wkt"
     # Zero-area sliver: rasterizes to nothing, so the rates are undefined.

@@ -20,7 +20,7 @@ from buildsnake.energy import (
     image_energy,
     image_energy_terms,
 )
-from buildsnake.raster import gaussian_smooth, gradient
+from buildsnake.raster import gaussian_smooth
 from buildsnake.synthetic import generate_scene, quebec_like_spec
 from conftest import traced_peak
 from test_raster import SEAM_CASES, STRIP_SEAM_SHAPES, seam_image
@@ -59,7 +59,7 @@ def test_termination_peaks_at_corner_on_strong_edges():
     img[32:, 32:] = 200.0
     _, _, e_term = image_energy_terms(img, sigma)
     c = gaussian_smooth(img, sigma)
-    cx, cy = gradient(c)
+    cy, cx = np.gradient(c)
     mag = np.hypot(cx, cy)
     band = mag >= 0.5 * mag.max()
     i, j = np.unravel_index(np.argmax(np.where(band, np.abs(e_term), 0.0)), e_term.shape)
@@ -144,7 +144,7 @@ def test_image_energy_equals_reference_at_strip_seams(shape, case):
 def test_edge_force_equals_reference_at_strip_seams(shape, case):
     # Signed zeros included: f is negated before its gradient is taken.
     e_img = seam_image(shape, case) - 128.0
-    f_x, f_y, g, g_max = energy._edge_force(e_img)
+    f_x, f_y, g, g_max = energy._gvf_forces(e_img)
     fx, fy, g_ref = reference_edge_force(e_img)
     assert f_x.tobytes() == fx.tobytes()
     assert f_y.tobytes() == fy.tobytes()
@@ -176,7 +176,7 @@ def test_image_energy_peak_memory_is_three_arrays_and_strips():
 def test_edge_force_peak_memory_is_its_outputs_and_strips():
     # f_x, f_y and g only: no whole-image copy of f or of its gradient.
     e_img = seam_image(MEM_SHAPE, "random")
-    assert traced_peak(energy._edge_force, e_img) <= 3.5 * ARRAY_BYTES
+    assert traced_peak(energy._gvf_forces, e_img) <= 3.5 * ARRAY_BYTES
 
 
 def test_gvf_peak_memory_is_its_fields_and_strip_buffers():
@@ -206,7 +206,7 @@ def step_gvf():
 
 def test_gvf_step_edge_matches_gradient_where_strong(step_gvf):
     f, _, field = step_gvf
-    fx, fy = gradient(f)
+    fy, fx = np.gradient(f)
     mag = np.hypot(fx, fy)
     strong = mag >= 0.5 * mag.max()
     rel = np.hypot(field.u - fx, field.v - fy)[strong] / mag[strong]
@@ -215,7 +215,7 @@ def test_gvf_step_edge_matches_gradient_where_strong(step_gvf):
 
 def test_gvf_residual_at_convergence(step_gvf):
     f, e_img, field = step_gvf
-    fx, fy = gradient(f)
+    fy, fx = np.gradient(f)
     g = fx * fx + fy * fy
     assert gvf_residual(field, e_img) <= 1e-3 * g.max()
 
@@ -237,7 +237,7 @@ def test_gvf_extends_capture_range():
     f = blurred_step(height=40.0, sigma=2.0, size=64)
     e_img = -f
     field = compute_gvf(e_img, mu=0.2, iters=20_000)
-    fx, _ = gradient(f)
+    _, fx = np.gradient(f)
     # 20 px left of the edge: raw force negligible, GVF force positive (+x).
     assert abs(fx[32, 12]) < 1e-3
     assert field.u[32, 12] > 1e-4
@@ -296,10 +296,10 @@ def spy_steps(monkeypatch, before_step=None):
     step, ("u" or "v", the id of the thread that ran it)."""
     ran = []
     components = {}  # id of f_x or f_y -> "u" or "v"
-    edge_force, step = energy._edge_force, energy._step
+    gvf_forces, step = energy._gvf_forces, energy._step
 
-    def edge_force_spy(e_img):
-        f_x, f_y, g, g_max = edge_force(e_img)
+    def gvf_forces_spy(e_img):
+        f_x, f_y, g, g_max = gvf_forces(e_img)
         components[id(f_x)], components[id(f_y)] = "u", "v"
         return f_x, f_y, g, g_max
 
@@ -309,7 +309,7 @@ def spy_steps(monkeypatch, before_step=None):
             before_step(components[id(f)])
         return step(field, f, *args)
 
-    monkeypatch.setattr(energy, "_edge_force", edge_force_spy)
+    monkeypatch.setattr(energy, "_gvf_forces", gvf_forces_spy)
     monkeypatch.setattr(energy, "_step", step_spy)
     return ran
 
@@ -589,7 +589,6 @@ def test_gvf_rejects_non_finite_energy(bad, where):
         compute_gvf(e_img, iters=5)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_gvf_rejects_overflowing_gradient():
     # Finite energy whose squared gradient overflows: dt would be 0 and the
     # residual NaN, which the stop test would read as converged.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from buildsnake.energy import edge_force
 from buildsnake.raster import (
     STRIP_ELEMS,
     _pnm_tokens,
@@ -13,7 +14,6 @@ from buildsnake.raster import (
     disk_element,
     gaussian_kernel,
     gaussian_smooth,
-    gradient,
     load_pnm,
     morphological_open,
     rgb_to_gray,
@@ -262,36 +262,36 @@ def test_smooth_preserves_mean_on_ramp():
 
 
 # ---------------------------------------------------------------------------
-# gradient
+# the edge force of an energy E, grad(-E) (energy.edge_force), on row_strips
 
 
 def test_gradient_ramp():
     x = np.tile(np.arange(8.0), (6, 1))
-    gx, gy = gradient(x)
+    gx, gy = edge_force(-x)
     assert np.allclose(gx, 1.0)
     assert np.allclose(gy, 0.0)
 
 
 def test_gradient_constant():
-    gx, gy = gradient(np.full((5, 5), 3.0))
+    gx, gy = edge_force(np.full((5, 5), 3.0))
     assert np.allclose(gx, 0.0) and np.allclose(gy, 0.0)
 
 
 def test_gradient_central_difference_value():
     x = np.tile(np.arange(12.0) ** 2, (4, 1))
-    gx, _ = gradient(x)
+    gx, _ = edge_force(-x)
     assert gx[1, 5] == pytest.approx((36.0 - 16.0) / 2.0)
 
 
 def test_gradient_too_small():
     with pytest.raises(ValueError):
-        gradient(np.zeros((2, 5)))
+        edge_force(np.zeros((2, 5)))
 
 
 @pytest.mark.parametrize("shape", [(5, 2), (1, 1), (9,), (4, 4, 4)])
 def test_gradient_rejects_other_than_3x3_or_larger_images(shape):
     with pytest.raises(ValueError, match="at least 3x3"):
-        gradient(np.zeros(shape))
+        edge_force(np.zeros(shape))
 
 
 SEAM_W = 40
@@ -346,9 +346,11 @@ def test_row_strips_tile_the_rows_with_clipped_halos(shape, halo):
 @pytest.mark.parametrize("case", SEAM_CASES)
 @pytest.mark.parametrize("shape", STRIP_SEAM_SHAPES)
 def test_gradient_equals_whole_image_np_gradient(shape, case):
+    # Signed zeros included: +0 where the image is flat, as np.gradient of
+    # the negated image gives.
     img = seam_image(shape, case)
-    gy, gx = np.gradient(img)
-    got_x, got_y = gradient(img)
+    gy, gx = np.gradient(-img)
+    got_x, got_y = edge_force(img)
     assert got_x.tobytes() == gx.tobytes()
     assert got_y.tobytes() == gy.tobytes()
 

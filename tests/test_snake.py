@@ -364,11 +364,10 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
 
 
 def reference_prepare_fields(gray, cfg):
-    """Force field as negated and divided copies of the whole-image gradient or GVF field."""
+    """Force field as divided copies of the whole-image gradient of -E or of the GVF field."""
     e_img = reference_image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     if cfg.mode == "basic":
-        ey, ex = np.gradient(e_img)
-        fx, fy = -ex, -ey
+        fy, fx = np.gradient(-e_img)
     else:
         fx, fy, _ = reference_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
     peak = float(np.hypot(fx, fy).max())
@@ -415,7 +414,7 @@ def test_prepare_fields_equals_reference_at_strip_seams(shape, case, mode):
 
 
 def test_basic_prepare_fields_peak_memory_is_three_arrays_and_strips():
-    # The energy's three arrays, then the energy and its two gradient
+    # The energy's three arrays, then the energy and its edge force's two
     # components, plus one strip block's temporaries each time.
     gray = seam_image(MEM_SHAPE, "random")
     assert traced_peak(prepare_fields, gray, SnakeConfig(mode="basic")) <= 3.5 * ARRAY_BYTES
