@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lidar, metrics, raster, synthetic
-from .config import MODES, SnakeConfig
+from .config import MODES, SnakeConfig, as_number
 from .geometry import polygon_to_wkt, wkt_to_polygon
 from .polygonize import building_mbr, fit_rectilinear
 from .snake import prepare_fields, run_snake
@@ -31,8 +31,6 @@ class StageError(Exception):
 
 
 IO_KEYS = ("image", "cloud", "transform", "outdir", "truth")
-# Keys an older config or run.json may hold; they are accepted and ignored.
-RETIRED_KEYS = ("workers", "mbr_source", "eval_cell_size")
 
 
 @dataclass
@@ -64,19 +62,24 @@ def extract_buildings(
         )
     except ValueError as exc:
         raise StageError(f"[lidar] {exc}") from exc
-    if debug is not None:
-        debug["cells"] = cells
+    if debug is not None and cells is not None:
+        debug["binary_grid"] = cells
         debug["labels"] = labels
     if not hulls:
         return []
 
     results = []
+    h, w = gray.shape
     try:
         force = prepare_fields(gray, cfg)
         if debug is not None and cfg.mode != "basic":
             debug["gvf_magnitude"] = np.hypot(*force)
         for building_id, hull in hulls:
             init = t.apply(hull)
+            if np.any(init.max(axis=0) < 0) or np.any(init.min(axis=0) > (w - 1, h - 1)):
+                print(f"warning: building {building_id}: LiDAR segment lies outside the image, skipped",
+                      file=sys.stderr)
+                continue
             contour = run_snake(init, force, cfg)
             mbr = building_mbr(init)
             try:
@@ -137,17 +140,13 @@ def _resolve_config(args) -> tuple[SnakeConfig, dict]:
         merged = _parse_file(args.config, "config", lambda p: json.loads(_text(p)))
         if not isinstance(merged, dict):
             raise ConfigError(f"[config] {args.config} must hold a JSON object")
-        known = set(SnakeConfig.field_names()) | set(IO_KEYS) | set(RETIRED_KEYS)
-        for key in merged:
-            if key not in known:
-                raise ConfigError(f"[config] unknown key {key!r} in {args.config}")
     for key in SnakeConfig.field_names() + IO_KEYS:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
     try:
-        cfg = SnakeConfig.from_dict(merged)
-    except (ValueError, TypeError) as exc:
+        cfg = SnakeConfig.from_dict({k: v for k, v in merged.items() if k not in IO_KEYS})
+    except ValueError as exc:
         raise ConfigError(f"[config] {exc}") from exc
     return cfg, merged
 
@@ -214,16 +213,9 @@ def cmd_extract(args) -> int:
     if debug is not None:
         ddir = Path(args.debug_dir)
         ddir.mkdir(parents=True, exist_ok=True)
-        if debug.get("cells") is not None:
-            (ddir / "binary_grid.pgm").write_bytes(raster.save_pgm(debug["cells"] * 255.0))
-        if debug.get("labels") is not None:
-            labels = debug["labels"]
-            scale = 255.0 / max(labels.max(), 1)
-            (ddir / "labels.pgm").write_bytes(raster.save_pgm(labels * scale))
-        if debug.get("gvf_magnitude") is not None:
-            mag = debug["gvf_magnitude"]
-            mx = mag.max()
-            (ddir / "gvf_magnitude.pgm").write_bytes(raster.save_pgm(mag * (255.0 / mx if mx > 0 else 0)))
+        for name, grid in debug.items():
+            mx = grid.max()
+            (ddir / f"{name}.pgm").write_bytes(raster.save_pgm(grid * (255.0 / mx if mx > 0 else 0.0)))
         for r in results:
             (ddir / f"snake_{r.building_id}.wkt").write_text(polygon_to_wkt(r.snake) + "\n", encoding="utf-8")
             (ddir / f"init_{r.building_id}.wkt").write_text(polygon_to_wkt(r.init_pixels) + "\n", encoding="utf-8")
@@ -232,8 +224,10 @@ def cmd_extract(args) -> int:
 
 def cmd_evaluate(args) -> int:
     for flag, val in (("--cell-size", args.cell_size), ("--distance-scale", args.distance_scale)):
-        if not 0 < val < np.inf:
-            raise ConfigError(f"[config] {flag} must be a positive finite number, got {val!r}")
+        try:
+            as_number(flag, val, bound="> 0")
+        except ValueError as exc:
+            raise ConfigError(f"[config] {exc}") from exc
     extracted = _parse_file(args.extracted, "extracted", _wkts)
     truth = _parse_file(args.truth, "truth", _wkts)
     if args.pairing == "index":

@@ -7,25 +7,41 @@ import numbers
 from dataclasses import dataclass
 
 MODES = ("basic", "gvf", "proposed")
+# Keys an older config or run.json may hold; they are accepted and ignored.
+RETIRED_KEYS = ("workers", "mbr_source", "eval_cell_size")
+# The lower bound of each bounded key, as `as_number` takes it.
+BOUNDS = {
+    **dict.fromkeys(("alpha", "beta", "sigma", "sym_diff_tol", "min_segment_area_m2"), ">= 0"),
+    **dict.fromkeys(("gamma", "epsilon", "mu", "delta", "density"), "> 0"),
+    **dict.fromkeys(("max_iters", "gvf_iters", "resample_every", "opening_radius"), ">= 1"),
+}
 
 
-def as_number(name: str, value, integer: bool = False) -> float | int:
-    """Real, non-bool, finite `value` as a float, or as an int if `integer` (40.0 -> 40); else ValueError."""
+def as_number(name: str, value, integer: bool = False, bound: str | None = None) -> float | int:
+    """Real, non-bool, finite `value` as a float, or as an int if `integer` (40.0 -> 40); else ValueError.
+
+    `bound` is a lower bound, ">= x" or "> x"; a value past it raises `<name> must be <bound>, got <value>`.
+    """
     if integer:
         integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
         if isinstance(value, bool) or not integral:
             raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        number = int(value)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond float range
-        number = math.inf
-    if math.isnan(number):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    else:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if math.isnan(number):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(number):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if bound is not None:
+        op, limit = bound.split()
+        if not (number > float(limit) if op == ">" else number >= float(limit)):
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
     return number
 
 
@@ -62,34 +78,13 @@ class SnakeConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, int):
-                setattr(self, f.name, as_number(f.name, value, integer=True))
+                setattr(self, f.name, as_number(f.name, value, integer=True, bound=BOUNDS.get(f.name)))
             elif isinstance(f.default, float) or f.default is None and value is not None:
-                as_number(f.name, value)
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.max_iters < 1 or self.gvf_iters < 1 or self.resample_every < 1:
-            raise ValueError("iteration counts must be >= 1")
+                as_number(f.name, value, bound=BOUNDS.get(f.name))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.connectivity not in (4, 8):
             raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity!r}")
-        if self.opening_radius < 1:
-            raise ValueError(f"opening_radius must be an integer >= 1, got {self.opening_radius!r}")
-        for name in ("sym_diff_tol", "min_segment_area_m2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if self.density is not None and self.density <= 0:
-            raise ValueError(f"density must be a positive number, got {self.density!r}")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -97,8 +92,11 @@ class SnakeConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SnakeConfig":
-        known = {k: v for k, v in d.items() if k in cls.field_names()}
-        return cls(**known)
+        """The config of `d`'s keys; retired keys are dropped, and any other unknown key raises ValueError."""
+        for key in d:
+            if key not in cls.field_names() + RETIRED_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+        return cls(**{k: v for k, v in d.items() if k not in RETIRED_KEYS})
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

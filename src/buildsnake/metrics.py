@@ -11,7 +11,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "GridSpec",
     "confusion_counts",
     "iou",
     "completeness",

@@ -32,10 +32,10 @@ TERRAIN_NOISE_M = 0.3
 MAX_SIDE_PX = 16384  # 10x the largest benchmark scene side (1536 px)
 
 
-def _pair(name: str, value, integer: bool = False) -> tuple:
+def _pair(name: str, value, integer: bool = False, bound: str | None = None) -> tuple:
     if np.ndim(value) != 1 or len(value) != 2:
         raise ValueError(f"{name} must hold two numbers, got {value!r}")
-    return tuple(as_number(name, v, integer) for v in value)
+    return tuple(as_number(name, v, integer, bound) for v in value)
 
 
 def _ring(name: str, points) -> np.ndarray:
@@ -88,24 +88,20 @@ class SceneSpec:
     shadows: list[ShadowSpec] = field(default_factory=list)
 
     def __post_init__(self):
-        self.size = _pair("size", self.size, integer=True)
+        self.size = _pair("size", self.size, integer=True, bound=">= 1")
+        if max(self.size) > MAX_SIDE_PX:
+            raise ValueError(f"size must be at most {MAX_SIDE_PX}, got {self.size!r}")
         self.misalignment = _pair("misalignment", self.misalignment)
-        for name in ("resolution", "background_gray", "noise_sigma", "lidar_density"):
-            setattr(self, name, as_number(name, getattr(self, name)))
-        self.seed = as_number("seed", self.seed, integer=True)
+        self.resolution = as_number("resolution", self.resolution, bound="> 0")
+        self.background_gray = as_number("background_gray", self.background_gray)
+        self.noise_sigma = as_number("noise_sigma", self.noise_sigma, bound=">= 0")
+        self.lidar_density = as_number("lidar_density", self.lidar_density, bound="> 0")
+        self.seed = as_number("seed", self.seed, integer=True, bound=">= 0")
         for name in ("buildings", "shadows"):
             if not isinstance(getattr(self, name), list):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         self.buildings = [b if isinstance(b, BuildingSpec) else BuildingSpec(**b) for b in self.buildings]
         self.shadows = [s if isinstance(s, ShadowSpec) else ShadowSpec(**s) for s in self.shadows]
-        for name in ("size", "resolution", "lidar_density"):
-            if min(np.atleast_1d(getattr(self, name))) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if max(self.size) > MAX_SIDE_PX:
-            raise ValueError(f"size must be at most {MAX_SIDE_PX}, got {self.size!r}")
-        for name in ("noise_sigma", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         w = self.size[0] * self.resolution
         h = self.size[1] * self.resolution
         for b in self.buildings:

@@ -1,26 +1,29 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
-from buildsnake.config import SnakeConfig
+from buildsnake.config import BOUNDS, SnakeConfig
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
         ("connectivity", 5, "connectivity must be 4 or 8, got 5"),
-        ("opening_radius", 0, "opening_radius must be an integer >= 1, got 0"),
-        ("density", -1.0, "density must be a positive number, got -1.0"),
+        ("opening_radius", 0, "opening_radius must be >= 1, got 0"),
+        ("max_iters", 0.0, "max_iters must be >= 1, got 0.0"),
+        ("density", -1.0, "density must be > 0, got -1.0"),
+        ("gamma", -0.0, "gamma must be > 0, got -0.0"),
         ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
         ("ground_class", 2.5, "ground_class must be an integer, got 2.5"),
         ("opening_radius", 1.5, "opening_radius must be an integer, got 1.5"),
         ("gvf_iters", float("inf"), "gvf_iters must be an integer, got inf"),
         ("resample_every", True, "resample_every must be an integer, got True"),
         ("connectivity", "8", "connectivity must be an integer, got '8'"),
-        ("sym_diff_tol", -1.0, "sym_diff_tol must be non-negative, got -1.0"),
-        ("min_segment_area_m2", -5, "min_segment_area_m2 must be non-negative, got -5"),
+        ("sym_diff_tol", -1.0, "sym_diff_tol must be >= 0, got -1.0"),
+        ("min_segment_area_m2", -5, "min_segment_area_m2 must be >= 0, got -5"),
         ("w_line", "abc", "w_line must be a number, got 'abc'"),
         ("shape_weight", None, "shape_weight must be a number, got None"),
         ("epsilon", True, "epsilon must be a number, got True"),
@@ -57,5 +60,33 @@ def test_integral_float_is_stored_as_int():
     assert all(type(v) is int for v in (cfg.max_iters, cfg.connectivity, cfg.ground_class))
 
 
-def test_from_dict_ignores_unknown_keys():
-    assert SnakeConfig.from_dict({"workers": 2, "conectivity": 4}) == SnakeConfig()
+# Every bounded key with its lower bound.
+LOWER_BOUNDS = {
+    **dict.fromkeys(("alpha", "beta", "sigma", "sym_diff_tol", "min_segment_area_m2"), ">= 0"),
+    **dict.fromkeys(("gamma", "epsilon", "mu", "delta", "density"), "> 0"),
+    **dict.fromkeys(("max_iters", "gvf_iters", "resample_every", "opening_radius"), ">= 1"),
+}
+# bound -> (the first value past it, the first value that passes)
+EDGES = {">= 0": (-math.ulp(0.0), 0.0), "> 0": (0.0, math.ulp(0.0)), ">= 1": (0, 1)}
+
+
+def test_bound_table_is_the_documented_one():
+    assert BOUNDS == LOWER_BOUNDS
+
+
+@pytest.mark.parametrize("key, bound", LOWER_BOUNDS.items())
+def test_value_past_bound_raises_and_first_value_within_passes(key, bound):
+    past, within = EDGES[bound]
+    with pytest.raises(ValueError, match=f"^{key} must be {bound}, got {past!r}$"):
+        SnakeConfig(**{key: past})
+    assert getattr(SnakeConfig(**{key: within}), key) == within
+
+
+def test_negative_zero_passes_an_inclusive_zero_bound():
+    assert SnakeConfig(alpha=-0.0, sigma=-0.0).alpha == 0.0
+
+
+def test_from_dict_rejects_unknown_keys_and_drops_retired_ones():
+    with pytest.raises(ValueError, match="^unknown key 'conectivity'$"):
+        SnakeConfig.from_dict({"workers": 2, "conectivity": 4})
+    assert SnakeConfig.from_dict({"workers": 2, "mbr_source": "lidar", "eval_cell_size": 1.0}) == SnakeConfig()

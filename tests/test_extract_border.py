@@ -1,7 +1,8 @@
 """Extract on buildings that touch the image border.
 
 The footprints are not required to lie inside the image: a tilted MBR frame
-can carry a border building's footprint a few pixels past the edge.
+can carry a border building's footprint a few pixels past the edge. A LiDAR
+segment that lies wholly outside the image is skipped with a warning.
 """
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ import pytest
 from buildsnake import snake as snake_module
 from buildsnake.cli import extract_buildings, main
 from buildsnake.config import SnakeConfig
-from buildsnake.geometry import polygon_is_simple, rotate_points, wkt_to_polygon
+from buildsnake.geometry import points_in_polygon, polygon_is_simple, rotate_points, wkt_to_polygon
+from buildsnake.lidar import GROUND_CLASS, PointCloud3D
 from buildsnake.snake import sample_force
-from buildsnake.synthetic import BuildingSpec, SceneSpec, generate_scene
+from buildsnake.synthetic import BuildingSpec, SceneSpec, generate_scene, quebec_like_spec
 
 VERTICES = {"rectangle": 4, "LTZ": 6, "U": 8}
 
@@ -111,3 +113,23 @@ def test_snake_samples_only_points_inside_the_image(monkeypatch, seed):
     pts = np.vstack(sampled)
     assert ((pts >= 0) & (pts <= (w - 1, h - 1))).all()
     assert (pts == 0).any() or (pts == (w - 1, h - 1)).any()  # the border clip was reached
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_segment_outside_the_image_is_skipped(capsys, mode):
+    # The preset plus a copy of the rect building's roof points moved 200 m
+    # in x and y, past the image's bottom-right corner. Its snake used to
+    # collapse onto the corner and leave the LiDAR MBR as a sixth footprint.
+    spec = quebec_like_spec(seed=7)
+    img, cloud, _, t = generate_scene(spec)
+    roof = (cloud.classes != GROUND_CLASS) & points_in_polygon(cloud.xyz[:, :2], spec.buildings[0].footprint)
+    cloud = PointCloud3D(
+        np.vstack([cloud.xyz, cloud.xyz[roof] + (200.0, 200.0, 0.0)]),
+        np.concatenate([cloud.classes, cloud.classes[roof]]),
+    )
+    results = extract_buildings(img, cloud, t, SnakeConfig(mode=mode))
+    assert len(results) == 5
+    assert "warning: building 6: LiDAR segment lies outside the image, skipped" in capsys.readouterr().err
+    h, w = img.shape
+    for r in results:
+        assert (r.footprint.max(axis=0) >= 0).all() and (r.footprint.min(axis=0) <= (w - 1, h - 1)).all()
