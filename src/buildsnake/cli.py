@@ -134,7 +134,7 @@ def _json_dump(obj) -> str:
 
 
 def _resolve_config(args) -> tuple[SnakeConfig, dict]:
-    """Merge config file values with CLI flag overrides."""
+    """Merge config file values with CLI flag overrides; a null input key counts as absent."""
     merged: dict = {}
     if args.config:
         merged = _parse_file(args.config, "config", lambda p: json.loads(_text(p)))
@@ -144,6 +144,12 @@ def _resolve_config(args) -> tuple[SnakeConfig, dict]:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
+    for key in IO_KEYS:
+        val = merged.get(key, "")
+        if val is None:
+            del merged[key]
+        elif not isinstance(val, str):
+            raise ConfigError(f"[config] {key} must be a path string, got {val!r}")
     try:
         cfg = SnakeConfig.from_dict({k: v for k, v in merged.items() if k not in IO_KEYS})
     except ValueError as exc:
@@ -177,13 +183,13 @@ def cmd_extract(args) -> int:
     for key in ("image", "cloud", "transform"):
         if key not in merged:
             raise ConfigError(f"[config] missing required input: --{key}")
-    outdir = Path(merged.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-
     gray = _parse_file(merged["image"], "image", _gray)
     cloud = _parse_file(merged["cloud"], "cloud", lambda p: lidar.parse_xyz(_text(p)))
     t = _parse_file(merged["transform"], "transform", lambda p: AffineTransform2D.from_line(_text(p)))
     truth_polys = _parse_file(merged["truth"], "truth", _wkts) if merged.get("truth") else None
+    # Made only once every input is read, so a bad input leaves no directory behind.
+    outdir = Path(merged.get("outdir", "."))
+    outdir.mkdir(parents=True, exist_ok=True)
 
     debug: dict | None = {} if args.debug_dir else None
     results = extract_buildings(gray, cloud, t, cfg, debug=debug)

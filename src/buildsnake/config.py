@@ -7,6 +7,8 @@ import numbers
 from dataclasses import dataclass
 
 MODES = ("basic", "gvf", "proposed")
+# The LAS class code of ground points.
+GROUND_CLASS = 2
 # Keys an older config or run.json may hold; they are accepted and ignored.
 RETIRED_KEYS = ("workers", "mbr_source", "eval_cell_size")
 # The lower bound of each bounded key, as `as_number` takes it.
@@ -67,7 +69,7 @@ class SnakeConfig:
     opening_radius: int = 1
     min_segment_area_m2: float = 10.0
     connectivity: int = 8
-    ground_class: int = 2
+    ground_class: int = GROUND_CLASS
     density: float | None = None  # points/m^2; None = estimate from cloud extent
     sym_diff_tol: float = 0.10
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SnakeConfig
 from .raster import STRIP_ELEMS, gaussian_smooth, row_strips
 
 __all__ = ["GvfField", "image_energy", "image_energy_terms", "edge_force", "compute_gvf", "gvf_residual"]
@@ -83,10 +84,10 @@ def _weigh(field: np.ndarray, weight: float) -> np.ndarray:
 
 def image_energy(
     gray: np.ndarray,
-    w_line: float = 0.04,
-    w_edge: float = 2.0,
-    w_term: float = 0.01,
-    sigma: float = 10.0,
+    w_line: float = SnakeConfig.w_line,
+    w_edge: float = SnakeConfig.w_edge,
+    w_term: float = SnakeConfig.w_term,
+    sigma: float = SnakeConfig.sigma,
 ) -> np.ndarray:
     """Weighted image energy; each term is min-max normalized to [0, 1] first.
 
@@ -270,8 +271,8 @@ def _jacobi(
 
 def compute_gvf(
     e_img: np.ndarray,
-    mu: float = 0.2,
-    iters: int = 200,
+    mu: float = SnakeConfig.mu,
+    iters: int = SnakeConfig.gvf_iters,
     residual_factor: float = 1e-4,
 ) -> GvfField:
     """Diffuse the edge force of f = -e_img into a gradient vector flow field.

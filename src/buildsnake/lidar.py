@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SnakeConfig
 from .geometry import GridSpec, convex_hull_indices
 from .raster import connected_components, morphological_open
 
@@ -23,7 +24,9 @@ __all__ = [
     "extract_boundaries",
 ]
 
-GROUND_CLASS = 2
+# Side of the square tiles whose lowest elevations stand in for ground
+# points when a cloud has no class labels.
+GROUND_TILE_M = 10.0
 
 
 @dataclass
@@ -100,11 +103,11 @@ def write_xyz(cloud: PointCloud3D) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ground_elevations_fallback(cloud: PointCloud3D, tile: float = 10.0) -> np.ndarray:
-    """Lowest-decile elevations per tile, used when class labels are absent."""
+def _ground_elevations_fallback(cloud: PointCloud3D) -> np.ndarray:
+    """Lowest-decile elevations per `GROUND_TILE_M` tile, used when class labels are absent."""
     xyz = cloud.xyz
-    col = np.floor((xyz[:, 0] - xyz[:, 0].min()) / tile).astype(int)
-    row = np.floor((xyz[:, 1] - xyz[:, 1].min()) / tile).astype(int)
+    col = np.floor((xyz[:, 0] - xyz[:, 0].min()) / GROUND_TILE_M).astype(int)
+    row = np.floor((xyz[:, 1] - xyz[:, 1].min()) / GROUND_TILE_M).astype(int)
     key = row * (col.max() + 1) + col
     # A stable sort keeps each tile's points in cloud order, as a mask would.
     order = np.argsort(key, kind="stable")
@@ -119,14 +122,12 @@ def _ground_elevations_fallback(cloud: PointCloud3D, tile: float = 10.0) -> np.n
 
 
 def separate_ground(
-    cloud: PointCloud3D,
-    ground_class: int = GROUND_CLASS,
-    tile: float = 10.0,
+    cloud: PointCloud3D, ground_class: int = SnakeConfig.ground_class
 ) -> tuple[PointCloud3D, PointCloud3D]:
     """Split the cloud at T_e = mean(z_G) + max(2.5, std(z_G)).
 
     Ground statistics z_G come from ground-classified points when labels
-    exist, otherwise from the lowest decile of elevations per `tile`-meter
+    exist, otherwise from the lowest decile of elevations per `GROUND_TILE_M`
     tile. Points with z > T_e are non-ground.
     """
     if len(cloud) == 0:
@@ -136,7 +137,7 @@ def separate_ground(
         if len(zg) == 0:
             raise ValueError(f"no points with ground class {ground_class}")
     else:
-        zg = _ground_elevations_fallback(cloud, tile)
+        zg = _ground_elevations_fallback(cloud)
     te = float(zg.mean() + max(2.5, float(zg.std())))
     above = cloud.xyz[:, 2] > te
     return cloud.subset(~above), cloud.subset(above)
@@ -166,9 +167,9 @@ def project_to_grid(nonground: PointCloud3D, density: float) -> tuple[GridSpec, 
 def extract_building_segments(
     cells: np.ndarray,
     cell_size: float,
-    opening_radius: int = 1,
-    min_area_m2: float = 10.0,
-    connectivity: int = 8,
+    opening_radius: int = SnakeConfig.opening_radius,
+    min_area_m2: float = SnakeConfig.min_segment_area_m2,
+    connectivity: int = SnakeConfig.connectivity,
 ) -> tuple[np.ndarray, int]:
     """Opened, labeled segments with small ones removed; labels compacted."""
     opened = morphological_open(cells, radius=opening_radius)
@@ -183,11 +184,11 @@ def extract_building_segments(
 
 def extract_boundaries(
     cloud: PointCloud3D,
-    density: float | None = None,
-    ground_class: int = GROUND_CLASS,
-    opening_radius: int = 1,
-    min_area_m2: float = 10.0,
-    connectivity: int = 8,
+    density: float | None = SnakeConfig.density,
+    ground_class: int = SnakeConfig.ground_class,
+    opening_radius: int = SnakeConfig.opening_radius,
+    min_area_m2: float = SnakeConfig.min_segment_area_m2,
+    connectivity: int = SnakeConfig.connectivity,
 ) -> tuple[list[tuple[int, np.ndarray]], np.ndarray | None, np.ndarray | None]:
     """Full LiDAR stage: ([(building_id, hull_xy), ...], cells, labels).
 

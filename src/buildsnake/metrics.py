@@ -22,16 +22,19 @@ __all__ = [
     "pair_by_centroid",
 ]
 
+# Clear space, in polygon units, that `grid_covering` keeps around the polygons.
+GRID_MARGIN = 1.0
 
-def grid_covering(polygons, cell_size: float, margin: float = 1.0) -> GridSpec:
-    """Smallest grid on the cell_size lattice covering all polygons plus a margin.
+
+def grid_covering(polygons, cell_size: float) -> GridSpec:
+    """Smallest grid on the cell_size lattice covering all polygons plus `GRID_MARGIN`.
 
     The origin and the far edge are whole multiples of cell_size, so at
     cell_size 1 the cells are the image's pixels.
     """
     pts = np.vstack([np.asarray(p, dtype=float) for p in polygons])
-    lo = np.floor((pts.min(axis=0) - margin) / cell_size)
-    hi = np.ceil((pts.max(axis=0) + margin) / cell_size)
+    lo = np.floor((pts.min(axis=0) - GRID_MARGIN) / cell_size)
+    hi = np.ceil((pts.max(axis=0) + GRID_MARGIN) / cell_size)
     return GridSpec(
         origin=(float(lo[0] * cell_size), float(lo[1] * cell_size)),
         cell_size=cell_size,

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SnakeConfig
 from .geometry import (
     GridSpec,
     OrientedRect,
@@ -106,7 +107,9 @@ def _notched_box(box, notch, side) -> np.ndarray:
     return np.array(ring[start:] + ring[:start])
 
 
-def fit_rectilinear(snake: np.ndarray, mbr: OrientedRect, sym_diff_tol: float = 0.10) -> BuildingPolygon:
+def fit_rectilinear(
+    snake: np.ndarray, mbr: OrientedRect, sym_diff_tol: float = SnakeConfig.sym_diff_tol
+) -> BuildingPolygon:
     """Fit the lowest rectilinear shape level matching the snake region.
 
     The snake is rotated into the MBR frame and rasterized on a 1-px grid.

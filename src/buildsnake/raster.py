@@ -230,13 +230,13 @@ def _disk_reduce(cells: np.ndarray, radius: int, op) -> np.ndarray:
     return op.reduce([p[dy : dy + h, dx : dx + w] for dy, dx in np.argwhere(se)])
 
 
-def morphological_open(cells: np.ndarray, radius: int = 1) -> np.ndarray:
+def morphological_open(cells: np.ndarray, radius: int) -> np.ndarray:
     """Erosion followed by dilation with a disk element; outside is empty."""
     eroded = _disk_reduce(np.asarray(cells, dtype=bool), radius, np.logical_and)
     return _disk_reduce(eroded, radius, np.logical_or)
 
 
-def connected_components(cells: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, int]:
+def connected_components(cells: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
     """Label connected true cells; labels 1..K in raster-scan first-touch order.
 
     Row runs of true cells, numbered in raster order, are joined to the runs

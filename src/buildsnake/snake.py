@@ -191,7 +191,7 @@ def shape_force(
     snake: np.ndarray,
     boundary: np.ndarray,
     delta: float,
-    weight: float = 1.0,
+    weight: float = SnakeConfig.shape_weight,
     step: float = 1.0,
 ) -> np.ndarray:
     """Central finite-difference force of the shape-similarity energy.

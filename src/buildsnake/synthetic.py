@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import as_number
+from .config import GROUND_CLASS, as_number
 from .geometry import (
     GridSpec,
     _as_points,
@@ -22,7 +22,7 @@ from .geometry import (
     polygon_centroid,
     rasterize_polygon,
 )
-from .lidar import GROUND_CLASS, PointCloud3D
+from .lidar import PointCloud3D
 from .transform import AffineTransform2D
 
 __all__ = ["BuildingSpec", "ShadowSpec", "SceneSpec", "generate_scene", "quebec_like_spec"]

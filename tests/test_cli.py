@@ -450,6 +450,35 @@ def test_extract_unknown_config_key_exits_2(small_scene_dir, tmp_path, capsys, c
     assert not (tmp_path / "out" / "run.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("image", 5, "image must be a path string, got 5"),
+        ("cloud", [1, 2], "cloud must be a path string, got [1, 2]"),
+        ("transform", {"path": "t.txt"}, "transform must be a path string, got {'path': 't.txt'}"),
+        ("truth", 5, "truth must be a path string, got 5"),
+        ("outdir", 1.5, "outdir must be a path string, got 1.5"),
+        ("image", None, "missing required input: --image"),
+        ("cloud", None, "missing required input: --cloud"),
+        ("transform", None, "missing required input: --transform"),
+    ],
+    ids=["image-number", "cloud-list", "transform-object", "truth-number", "outdir-number",
+         "image-null", "cloud-null", "transform-null"],
+)
+def test_extract_bad_config_input_exits_2_without_outdir(
+    small_scene_dir, tmp_path, monkeypatch, capsys, key, value, message
+):
+    monkeypatch.chdir(tmp_path)  # "." is the default outdir
+    config = {k: str(small_scene_dir / name) for k, name in
+              (("image", "scene.pgm"), ("cloud", "cloud.xyz"), ("transform", "transform.txt"))}
+    config["outdir"] = "out"
+    config[key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["extract", "--config", "cfg.json"]) == 2
+    assert f"error: [config] {message}\n" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # A value of the field's default type that differs from the default and passes validation.
 NON_DEFAULT = {"mode": "basic", "connectivity": 4, "density": 2.5}
 
@@ -508,7 +537,7 @@ def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, caps
     argv = [a.format(bad=bad, scene=small_scene_dir, out=out) for a in argv]
     assert main(argv) == 2
     assert f"error: [{stage}] {bad}: " in capsys.readouterr().err
-    assert not (out / "run.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,9 @@ import pytest
 
 from buildsnake import snake as snake_module
 from buildsnake.cli import extract_buildings, main
-from buildsnake.config import SnakeConfig
+from buildsnake.config import GROUND_CLASS, SnakeConfig
 from buildsnake.geometry import points_in_polygon, polygon_is_simple, rotate_points, wkt_to_polygon
-from buildsnake.lidar import GROUND_CLASS, PointCloud3D
+from buildsnake.lidar import PointCloud3D
 from buildsnake.snake import sample_force
 from buildsnake.synthetic import BuildingSpec, SceneSpec, generate_scene, quebec_like_spec
 

@@ -2,14 +2,10 @@
 from __future__ import annotations
 
 import ast
-import inspect
 from collections import Counter
 from pathlib import Path
 
 import pytest
-
-from buildsnake import energy, lidar, polygonize, raster
-from buildsnake.config import SnakeConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "buildsnake").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -67,32 +63,3 @@ def test_no_module_level_private_name_unused_by_its_module(path):
     ]
     loaded = _loaded_names(tree)
     assert [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in loaded] == []
-
-
-# Stage functions whose keyword defaults mirror SnakeConfig keys, with the
-# parameters that go by another name there.
-CONFIG_MIRRORS = [
-    (energy.image_energy, {}),
-    (energy.compute_gvf, {"iters": "gvf_iters"}),
-    (lidar.extract_boundaries, {"min_area_m2": "min_segment_area_m2"}),
-    (lidar.extract_building_segments, {"min_area_m2": "min_segment_area_m2"}),
-    (lidar.separate_ground, {}),
-    (polygonize.fit_rectilinear, {}),
-    (raster.morphological_open, {"radius": "opening_radius"}),
-    (raster.connected_components, {}),
-]
-
-
-def test_stage_defaults_equal_the_config_defaults():
-    # SnakeConfig is the one definition of each key, its default included:
-    # a stage called without the key must behave as the config's default.
-    defaults = SnakeConfig()
-    checked = {}
-    for func, renames in CONFIG_MIRRORS:
-        for name, param in inspect.signature(func).parameters.items():
-            key = renames.get(name, name)
-            if param.default is not param.empty and hasattr(defaults, key):
-                checked[f"{func.__name__}.{name}"] = (param.default, getattr(defaults, key))
-    checked["lidar.GROUND_CLASS"] = (lidar.GROUND_CLASS, defaults.ground_class)
-    assert len(checked) == 19
-    assert {name: pair for name, pair in checked.items() if pair[0] != pair[1]} == {}

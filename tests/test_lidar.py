@@ -221,7 +221,7 @@ def reference_ground_elevations_fallback(cloud, tile):
 def test_fallback_elevations_equal_unique_reference():
     rng = np.random.default_rng(10)
     cloud = PointCloud3D(rng.uniform(0, 95, (3000, 3)) * np.array([1, 0.6, 0.1]))
-    got = _ground_elevations_fallback(cloud, 10.0)
+    got = _ground_elevations_fallback(cloud)
     assert got.tobytes() == reference_ground_elevations_fallback(cloud, 10.0).tobytes()
 
 
@@ -240,7 +240,7 @@ def test_fallback_elevations_equal_mask_reference(case, quebec_scene):
         pitch = 512 * spec.resolution
         offsets = [(c * pitch, r * pitch, 0.0) for r in range(3) for c in range(3)]
         cloud = PointCloud3D(np.vstack([preset.xyz + off for off in offsets]))
-    got = _ground_elevations_fallback(cloud, 10.0)
+    got = _ground_elevations_fallback(cloud)
     assert got.tobytes() == reference_ground_elevations_fallback(cloud, 10.0).tobytes()
 
 

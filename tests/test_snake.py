@@ -627,3 +627,17 @@ def test_run_snake_rejects_tiny_init():
     force = prepare_fields(np.full((32, 32), 50.0), cfg)
     with pytest.raises(ValueError):
         run_snake(np.array([[1.0, 1.0], [2.0, 2.0]]), force, cfg)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: sample_force puts pixel (i, j) at (j, i), not at its centre")
+@pytest.mark.parametrize("mode", ["basic", "gvf", "proposed"])
+def test_snake_edges_meet_the_pixel_edges_of_a_square(mode):
+    # Pixels [40:88, 40:88] cover [40, 88]^2 in the frame of GridSpec, the
+    # scene renderer and the metrics, so the snake's edges belong at 40 and 88.
+    img = np.full((128, 128), 80.0)
+    img[40:88, 40:88] = 200.0
+    cfg = SnakeConfig(mode=mode, sigma=2.0)
+    init = np.array([[43.0, 43.0], [85.0, 43.0], [85.0, 85.0], [43.0, 85.0]])
+    snake = run_snake(init, prepare_fields(img, cfg), cfg)
+    assert np.allclose(snake.min(axis=0), 40.0, atol=0.1)
+    assert np.allclose(snake.max(axis=0), 88.0, atol=0.1)
