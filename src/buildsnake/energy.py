@@ -146,11 +146,9 @@ def _gvf_forces(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 # Pixels per array in one row strip of a GVF step: twice raster.STRIP_ELEMS.
-# 200 steps on the 1024x1024 sparse-gvf energy (seed 7, 2-vCPU Xeon, median
-# of the faster of two solves in each of 5-7 interleaved processes) took
-# 1.73 s at 32k and 1.54 s at 64k; 64k doubles the strip buffers. Pinned to
-# one CPU (taskset -c 0), where the u and v threads share it, 32k took a
-# median 2.33 s (best of three solves, 10 processes).
+# 200 steps on the full-resolution 1024x1024 sparse-gvf energy (seed 7,
+# 2-vCPU Xeon, u and v then on two threads) took 1.73 s at 32k and 1.54 s at
+# 64k; 64k doubles the strip buffers.
 GVF_STRIP_ELEMS = 2 * STRIP_ELEMS
 
 
@@ -235,19 +233,17 @@ def _jacobi(
     |r| (exact below `tol`).
 
     The two components never read each other, so each step runs as two
-    one-component steps: the caller's thread updates u while one worker
-    thread updates v, whatever the CPU count. The step's max |r| is the
-    larger of the two.
+    one-component steps, u and then v, on the caller's thread. The step's
+    max |r| is the larger of the two.
 
     A component's step runs one cache-sized strip of rows at a time, from
     the kept old value of the row above the strip; every pixel gets the
     same floating-point operations in the same order as in a whole-image
-    step, so the field does not depend on how the threads interleave.
-    Within a strip, up + down is one add of the rows above and below each
-    inner row, plus one row add each for the strip's first and last rows
-    (or a single add of the row above and the row below for a strip one
-    row high). Left and right are added as shifts along the flat strip, so
-    a row's first column first takes the previous row's last value; that
+    step. Within a strip, up + down is one add of the rows above and below
+    each inner row, plus one row add each for the strip's first and last
+    rows (or a single add of the row above and the row below for a strip
+    one row high). Left and right are added as shifts along the flat strip,
+    so a row's first column first takes the previous row's last value; that
     column is redone from its saved up + down sum plus its own
     (edge-replicated) value, and the last column likewise around the right
     shift.
@@ -255,17 +251,12 @@ def _jacobi(
     (u, v), (f_x, f_y) = fields, forces
     w = g.shape[1]
     u_buffers, v_buffers = _strip_buffers(w), _strip_buffers(w)
-    # Imported here, off the package's import path.
-    from concurrent.futures import ThreadPoolExecutor
-
     done, r_max = 0, 0.0
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for done in range(1, iters + 1):
-            v_step = pool.submit(_step, v, f_y, g, v_buffers, mu, dt, tol)
-            r_u = _step(u, f_x, g, u_buffers, mu, dt, tol)
-            r_max = max(r_u, v_step.result())
-            if r_max < tol:
-                break
+    for done in range(1, iters + 1):
+        r_u = _step(u, f_x, g, u_buffers, mu, dt, tol)
+        r_max = max(r_u, _step(v, f_y, g, v_buffers, mu, dt, tol))
+        if r_max < tol:
+            break
     return done, r_max
 
 
@@ -285,12 +276,15 @@ def compute_gvf(
     0.25/mu sits exactly on the boundary and lets the reaction term amplify
     checkerboard noise on strong-gradient inputs.
 
-    `iters` = 200 is the operating point, a diffusion time that sets how far
-    the edge force spreads rather than a solver cap: on the benchmark scenes
-    the residual ends near 1.1e-4 against a tolerance of 1.8e-5, so the stop
-    test does not fire. Each step updates u on the calling thread and v on
-    one worker thread, strip by strip, with the bits of a whole-image step
-    (see `_jacobi`).
+    `iters` is a diffusion time, not a solver cap: the field spreads the
+    edge force about sqrt(iters) cells. The extract does not call this
+    solver on the full image at the default sigma: `snake.prepare_fields`
+    calls it on the 4 x 4 block mean of the energy with 200 // 16 = 12
+    steps, which spread as far in pixels as 200 full-resolution steps. On
+    the benchmark scenes those 12 steps end with a residual near 6.9e-3
+    against a tolerance near 6.1e-5, so the stop test does not fire. Each
+    step updates u and then v on the calling thread, strip by strip, with
+    the bits of a whole-image step (see `_jacobi`).
     """
     if not 0 < mu < np.inf:
         raise ValueError(f"mu must be a positive finite number, got {mu!r}")

@@ -45,26 +45,112 @@ def _rescale_force(fx: np.ndarray, fy: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return fx, fy
 
 
+def _gvf_scale(shape: tuple[int, int], sigma: float) -> int:
+    """Block size k of the grid the GVF is solved on: int(sigma / 2.5),
+    lowered until the coarse grid has at least 3 cells a side, and at least 1.
+
+    A k x k block mean loses little of an energy already smoothed over
+    sigma, and at sigma < 5 k is 1, the full-resolution grid.
+    ceil(m / k) >= 3 cells on a side of m pixels means k <= (m - 1) // 2.
+    """
+    return max(1, min(int(sigma / 2.5), (min(shape) - 1) // 2))
+
+
+def _block_mean(e_img: np.ndarray, k: int) -> np.ndarray:
+    """Mean of each k x k block of `e_img`, edge-replicated to a multiple of
+    k; `e_img` itself at k = 1.
+
+    Each value enters divided by k^2, which no sum of them can overflow; for
+    a power-of-two k that is the bits of the sum divided. The sum runs over
+    the block rows, then the block columns, in order. Only one band of
+    ceil(H / k) rows is gathered at a time.
+    """
+    if k == 1:
+        return e_img
+    h, w = e_img.shape
+    rows = np.minimum(np.arange(-(-h // k) * k), h - 1).reshape(-1, k)
+    cols = np.minimum(np.arange(-(-w // k) * k), w - 1).reshape(-1, k)
+    coarse = np.zeros((len(rows), len(cols)))
+    for i in range(k):
+        band = e_img[rows[:, i]]
+        band /= k * k
+        for j in range(k):
+            coarse += band[:, cols[:, j]]
+    return coarse
+
+
+def _bilinear_axis(n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For n fine pixels over m coarse cells of k pixels, each pixel's lower
+    cell and the weights (1 - t, t) of that cell and the next.
+
+    Cell i's centre is at pixel k i + (k - 1) / 2; a pixel beyond the first
+    or last centre takes that cell's value.
+    """
+    c = (np.arange(n) - (k - 1) / 2) / k
+    np.clip(c, 0, m - 1, out=c)
+    lower = np.minimum(c.astype(np.intp), m - 2)
+    t = c - lower
+    return lower, 1 - t, t
+
+
+def _upsample(coarse: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
+    """Bilinear upsample of `coarse`, one value per k x k block, to a
+    C-contiguous array of `shape`; a copy of `coarse` at k = 1.
+
+    Columns first on the coarse rows, then rows, in place on the full-size
+    gather, so one component holds two full-size arrays at its peak.
+    """
+    if k == 1:
+        return coarse.copy()
+    (y0, sy, ty), (x0, sx, tx) = (_bilinear_axis(n, m, k) for n, m in zip(shape, coarse.shape))
+    wide = np.take(coarse, x0, axis=1)
+    wide *= sx
+    wide += np.take(coarse, x0 + 1, axis=1) * tx
+    out = wide[y0]
+    out *= sy[:, None]
+    lower = wide[y0 + 1]
+    lower *= ty[:, None]
+    out += lower
+    return out
+
+
 def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The mode's external force on `gray` as a pair (f_x, f_y) of (H, W) arrays.
+    """The mode's external force on `gray` as a pair (f_x, f_y) of
+    C-contiguous (H, W) arrays.
 
     Every mode starts from the one edge force -grad(E_img) of
     `energy.edge_force`: basic uses it as the raw potential force, and gvf
     and proposed diffuse it into a GVF field. Either is rescaled to unit
-    peak magnitude, the GVF field on copies, so the solved field stays as
-    `compute_gvf` returned it. One pair serves every snake on the image.
+    peak magnitude. One pair serves every snake on the image.
+
+    The GVF is solved on a grid k = `_gvf_scale` times coarser: on the k x k
+    block mean of the energy, with gvf_iters // k^2 steps (at least one).
+    Diffusion spreads about sqrt(steps) cells, so the coarse solve reaches
+    the same distance in pixels as gvf_iters fine steps. u and v are then
+    upsampled bilinearly to full size. At k = 1 the field is `compute_gvf`'s
+    on the full image, rescaled on copies, so the solved field stays as it
+    returned it.
 
     The energy and the edge force are taken one strip of rows at a time
     (`raster.row_strips`), with the bits of whole-image np.gradient calls:
     in basic mode at most three image-sized arrays are held beyond `gray`.
+    At k > 1 the energy is freed before the GVF solve, so once it is built
+    at most the force pair and one more image-sized array are held.
     """
     e_img = image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     if cfg.mode == "basic":
         f_x, f_y = edge_force(e_img)
         del e_img
         return _rescale_force(f_x, f_y)
-    field = compute_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
-    return _rescale_force(field.u.copy(), field.v.copy())
+    shape = e_img.shape
+    k = _gvf_scale(shape, cfg.sigma)
+    coarse = _block_mean(e_img, k)
+    del e_img
+    field = compute_gvf(coarse, mu=cfg.mu, iters=max(1, cfg.gvf_iters // (k * k)))
+    del coarse
+    f_x = _upsample(field.u, k, shape)
+    f_y = _upsample(field.v, k, shape)
+    return _rescale_force(f_x, f_y)
 
 
 def resample_closed(points: np.ndarray, n: int) -> np.ndarray:
@@ -148,6 +234,10 @@ def sample_force(force: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np
     gathered from each flattened component. `run_snake` keeps every point in
     [0, W - 1] x [0, H - 1]; a point outside uses its nearest border cell, so
     its value is that cell's bilinear form extrapolated.
+
+    The flattening is a view only for a C-contiguous component; any other
+    is copied whole on every call, which `prepare_fields` avoids by
+    returning C-contiguous pairs.
     """
     pts = np.asarray(points, dtype=float)
     h, w = force[0].shape

@@ -1,10 +1,6 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,8 +288,8 @@ def reference_gvf(e_img, mu=0.2, iters=200, residual_factor=1e-4):
 
 def spy_steps(monkeypatch, before_step=None):
     """Records each one-component GVF step, calling before_step("u" or "v")
-    ahead of it if given; returns the list that collects, for each such
-    step, ("u" or "v", the id of the thread that ran it)."""
+    ahead of it if given; returns the list that collects "u" or "v" for each
+    such step, in the order they ran."""
     ran = []
     components = {}  # id of f_x or f_y -> "u" or "v"
     gvf_forces, step = energy._gvf_forces, energy._step
@@ -304,7 +300,7 @@ def spy_steps(monkeypatch, before_step=None):
         return f_x, f_y, g, g_max
 
     def step_spy(field, f, *args):
-        ran.append((components[id(f)], threading.get_ident()))
+        ran.append(components[id(f)])
         if before_step is not None:
             before_step(components[id(f)])
         return step(field, f, *args)
@@ -314,23 +310,13 @@ def spy_steps(monkeypatch, before_step=None):
     return ran
 
 
-def assert_threads(ran, steps):
-    """Each component took `steps` steps, u on the calling thread and v on
-    one other thread."""
-    caller = threading.get_ident()
-    ran_on = {c: {thread for component, thread in ran if component == c} for c in "uv"}
-    assert sorted(component for component, _ in ran) == ["u"] * steps + ["v"] * steps
-    assert ran_on["u"] == {caller}
-    assert len(ran_on["v"]) == 1 and caller not in ran_on["v"]
-
-
 def assert_gvf_matches_reference(monkeypatch, e_img, **kwargs):
-    """compute_gvf against reference_gvf, byte for byte, with v on a worker thread."""
+    """compute_gvf against reference_gvf, byte for byte, with u and then v stepped each step."""
     u, v, done = reference_gvf(e_img, **kwargs)
     ran = spy_steps(monkeypatch)
     field = compute_gvf(e_img, **kwargs)
     monkeypatch.undo()
-    assert_threads(ran, done)
+    assert ran == ["u", "v"] * done
     assert field.iters == done
     assert field.u.tobytes() == u.tobytes()
     assert field.v.tobytes() == v.tobytes()
@@ -443,7 +429,7 @@ def test_gvf_residual_equals_reference_over_all_pixels(shape, iters, monkeypatch
     ran = spy_steps(monkeypatch)
     got = gvf_residual(field, e_img)
     monkeypatch.undo()
-    assert_threads(ran, 1)
+    assert ran == ["u", "v"]
     assert got == max(np.abs(ru).max(), np.abs(rv).max())
     assert field.u.tobytes() == u.tobytes()
     assert field.v.tobytes() == v.tobytes()
@@ -467,9 +453,9 @@ class StepFailure(Exception):
 
 @pytest.mark.parametrize("failing", ["u", "v"])
 def test_gvf_step_failure_propagates_and_joins_the_worker(failing, monkeypatch):
-    # A component step that raises on its third call, on the caller's thread
-    # (u) or on the worker (v), ends the solve with that exception and leaves
-    # no worker thread running.
+    # A component step that raises on its third call, u's or v's, ends the
+    # solve with that exception: no later step runs, and no thread is left
+    # running, as the solve starts none.
     calls = []
 
     def fail_third(component):
@@ -478,98 +464,14 @@ def test_gvf_step_failure_propagates_and_joins_the_worker(failing, monkeypatch):
             if len(calls) == 3:
                 raise StepFailure(failing)
 
-    spy_steps(monkeypatch, fail_third)
+    ran = spy_steps(monkeypatch, fail_third)
     e_img = np.random.default_rng(9).normal(0.0, 1.0, (2 * ROWS, 1000))
-    raised = []
-
-    def solve():
-        try:
-            compute_gvf(e_img, iters=9)
-        except StepFailure as exc:
-            raised.append(exc)
-
     before = threading.active_count()
-    thread = threading.Thread(target=solve)
-    thread.start()
-    thread.join(60.0)
-    assert not thread.is_alive()
-    assert [str(exc) for exc in raised] == [failing]
+    with pytest.raises(StepFailure, match=failing):
+        compute_gvf(e_img, iters=9)
     assert len(calls) == 3
+    assert ran == ["u", "v"] * 2 + ["u", "v"][: 1 + (failing == "v")]
     assert threading.active_count() == before
-
-
-def test_gvf_concurrent_two_thread_solves_match_one_thread():
-    # Four solves of two threads each at once, more threads than CPUs, with
-    # the interpreter switching threads as often as it can: each field must
-    # still be the one-thread whole-image reference's, bit for bit.
-    e_img = np.random.default_rng(10).normal(0.0, 1.0, (5 * ROWS + 13, 1000))
-    u, v, _ = reference_gvf(e_img, iters=7)
-    fields = [None] * 4
-
-    def solve(i):
-        fields[i] = compute_gvf(e_img, iters=7)
-
-    threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(fields))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for field in fields:
-        assert field.u.tobytes() == u.tobytes()
-        assert field.v.tobytes() == v.tobytes()
-
-
-# Pinned to one CPU before numpy loads, solves the energy in argv[1] with
-# the step spy on, checks the threads and saves the field to argv[2].
-ONE_CPU_SOLVE = """
-import os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import numpy as np
-import pytest
-from buildsnake.energy import compute_gvf
-from test_energy import assert_threads, spy_steps
-assert len(os.sched_getaffinity(0)) == 1
-with pytest.MonkeyPatch.context() as monkeypatch:
-    ran = spy_steps(monkeypatch)
-    field = compute_gvf(np.load(sys.argv[1]), iters=400, residual_factor=0.05)
-assert_threads(ran, field.iters)
-np.savez(sys.argv[2], u=field.u, v=field.v, iters=field.iters)
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
-def test_gvf_on_one_cpu_equals_reference(tmp_path):
-    # The affinity is set in a child process, so it binds that process only:
-    # v still runs on a worker thread, and the field and its early stop are
-    # the reference's, bit for bit.
-    shape = (3 * ROWS + 4, 1000)
-    step = np.zeros(shape)
-    step[:, shape[1] // 2 :] = 40.0
-    e_img = gaussian_smooth(step, 3.0) + np.random.default_rng(4).normal(0.0, 0.5, shape)
-    np.save(tmp_path / "e_img.npy", e_img)
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
-    child = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", ONE_CPU_SOLVE, "e_img.npy", "field.npz"],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert child.returncode == 0, child.stderr
-    got = np.load(tmp_path / "field.npz")
-    u, v, done = reference_gvf(e_img, iters=400, residual_factor=0.05)
-    assert 1 < done < 400
-    assert int(got["iters"]) == done
-    assert got["u"].tobytes() == u.tobytes()
-    assert got["v"].tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9)])

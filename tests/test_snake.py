@@ -363,13 +363,48 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
         assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
 
 
-def reference_prepare_fields(gray, cfg):
-    """Force field as divided copies of the whole-image gradient of -E or of the GVF field."""
+def reference_gvf_scale(shape, sigma):
+    """int(sigma / 2.5), lowered one at a time until the coarse grid has 3 cells a side."""
+    k = max(1, int(sigma / 2.5))
+    while k > 1 and min(-(-n // k) for n in shape) < 3:
+        k -= 1
+    return k
+
+
+def reference_block_mean(e_img, k):
+    """Whole-image k x k block mean of the edge-padded energy, each value divided by k^2."""
+    h, w = e_img.shape
+    padded = np.pad(e_img, ((0, -h % k), (0, -w % k)), mode="edge")
+    return sum(padded[i::k, j::k] / (k * k) for i in range(k) for j in range(k))
+
+
+def reference_upsample(coarse, k, shape):
+    """Plain separable bilinear upsample; coarse cell i's centre is at pixel k i + (k - 1) / 2."""
+
+    def axis(n, m):
+        c = np.clip((np.arange(n) - (k - 1) / 2) / k, 0, m - 1)
+        lower = np.clip(np.floor(c).astype(int), 0, m - 2)
+        return lower, c - lower
+
+    (y0, ty), (x0, tx) = axis(shape[0], coarse.shape[0]), axis(shape[1], coarse.shape[1])
+    wide = coarse[:, x0] * (1 - tx) + coarse[:, x0 + 1] * tx
+    return wide[y0] * (1 - ty)[:, None] + wide[y0 + 1] * ty[:, None]
+
+
+def reference_prepare_fields(gray, cfg, k=None):
+    """Force field as divided copies of the whole-image gradient of -E or of
+    the GVF field, solved on the grid k (`reference_gvf_scale` if None) times
+    coarser with gvf_iters // k^2 steps and upsampled."""
     e_img = reference_image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
     if cfg.mode == "basic":
         fy, fx = np.gradient(-e_img)
     else:
-        fx, fy, _ = reference_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
+        k = reference_gvf_scale(e_img.shape, cfg.sigma) if k is None else k
+        if k == 1:
+            fx, fy, _ = reference_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
+        else:
+            u, v, _ = reference_gvf(reference_block_mean(e_img, k), mu=cfg.mu, iters=max(1, cfg.gvf_iters // k**2))
+            fx, fy = reference_upsample(u, k, e_img.shape), reference_upsample(v, k, e_img.shape)
     peak = float(np.hypot(fx, fy).max())
     if peak > 0:
         fx, fy = fx / peak, fy / peak
@@ -413,11 +448,60 @@ def test_prepare_fields_equals_reference_at_strip_seams(shape, case, mode):
     assert got_y.tobytes() == fy.tobytes()
 
 
+# At sigma = 10 (k = 4): sizes divisible by 4, sizes that are not (one to
+# three padded rows or columns), and small sizes where k falls to 3, 2 and 1.
+COARSE_SHAPES = [(48, 64), (49, 66), (51, 45), (9, 40), (7, 40), (40, 5), (4, 30)]
+
+
+def test_coarse_shapes_cover_every_fallback():
+    assert sorted({reference_gvf_scale(shape, 10.0) for shape in COARSE_SHAPES}) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("mode", ["gvf", "proposed"])
+@pytest.mark.parametrize("shape", COARSE_SHAPES)
+def test_prepare_fields_equals_reference_on_the_coarse_grid(shape, mode, monkeypatch):
+    gray = seam_image(shape, "random")
+    cfg = SnakeConfig(mode=mode, sigma=10.0)
+    k = reference_gvf_scale(shape, cfg.sigma)
+    solved_shapes = []
+
+    def capturing(e_img, **kwargs):
+        solved_shapes.append((e_img.shape, kwargs["iters"]))
+        return compute_gvf(e_img, **kwargs)
+
+    monkeypatch.setattr(snake_module, "compute_gvf", capturing)
+    got_x, got_y = prepare_fields(gray, cfg)
+    fx, fy = reference_prepare_fields(gray, cfg)
+    assert solved_shapes == [((-(-shape[0] // k), -(-shape[1] // k)), max(1, cfg.gvf_iters // k**2))]
+    assert got_x.tobytes() == fx.tobytes()
+    assert got_y.tobytes() == fy.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [2.0, 10.0])
+@pytest.mark.parametrize("mode", ["basic", "gvf", "proposed"])
+def test_prepare_fields_returns_c_contiguous_pairs(mode, sigma):
+    # sample_force flattens each component; a non-contiguous one would be
+    # copied whole on every call.
+    gray = seam_image((61, 83), "random")
+    for component in prepare_fields(gray, SnakeConfig(mode=mode, sigma=sigma)):
+        assert component.shape == (61, 83)
+        assert component.flags.c_contiguous
+
+
 def test_basic_prepare_fields_peak_memory_is_three_arrays_and_strips():
     # The energy's three arrays, then the energy and its edge force's two
     # components, plus one strip block's temporaries each time.
     gray = seam_image(MEM_SHAPE, "random")
     assert traced_peak(prepare_fields, gray, SnakeConfig(mode="basic")) <= 3.5 * ARRAY_BYTES
+
+
+@pytest.mark.parametrize("mode", ["gvf", "proposed"])
+def test_gvf_prepare_fields_peak_memory_is_four_arrays(mode):
+    # The energy's three arrays and its strips; then, with the energy freed,
+    # the upsampled u, v's two full-size upsample arrays, or the force pair
+    # and its magnitude. The coarse solve is 1/16 of the image.
+    gray = seam_image(MEM_SHAPE, "random")
+    assert traced_peak(prepare_fields, gray, SnakeConfig(mode=mode)) <= 4.0 * ARRAY_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +671,20 @@ def test_run_snake_on_edge_stays_put(rect_scene):
     ref = resample_closed(truth, len(snake))
     rms = float(np.sqrt(((snake - ref) ** 2).sum(axis=1).mean()))
     assert rms <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["gvf", "proposed"])
+def test_run_snake_on_the_coarse_field_is_as_accurate_as_on_the_fine_one(rect_scene, mode):
+    # At sigma = 10 the GVF is solved on 4 x 4 blocks with 200 // 16 steps;
+    # the snake must land within half a point of IoU of the snake on the
+    # 200-step full-resolution field.
+    grid, truth, img = rect_scene
+    cfg = SnakeConfig(mode=mode, sigma=10.0)
+    assert reference_gvf_scale(img.shape, cfg.sigma) == 4
+    init = truth + np.array([3.0, 0.0])
+    coarse = pixel_iou(run_snake(init, prepare_fields(img, cfg), cfg), truth, grid)
+    fine = pixel_iou(run_snake(init, reference_prepare_fields(img, cfg, k=1), cfg), truth, grid)
+    assert abs(coarse - fine) <= 0.5
 
 
 def test_run_snake_deterministic(rect_scene):
