@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SnakeConfig
-from .raster import STRIP_ELEMS, gaussian_smooth, row_strips
+from .raster import gaussian_smooth, row_strips
 
 __all__ = ["GvfField", "image_energy", "image_energy_terms", "edge_force", "compute_gvf", "gvf_residual"]
 
@@ -145,80 +145,49 @@ def _gvf_forces(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return f_x, f_y, g, g_max
 
 
-# Pixels per array in one row strip of a GVF step: twice raster.STRIP_ELEMS.
-# 200 steps on the full-resolution 1024x1024 sparse-gvf energy (seed 7,
-# 2-vCPU Xeon, u and v then on two threads) took 1.73 s at 32k and 1.54 s at
-# 64k; 64k doubles the strip buffers.
-GVF_STRIP_ELEMS = 2 * STRIP_ELEMS
-
-
-def _strip_rows(w: int) -> int:
-    """Rows per strip of a GVF step on a field `w` pixels wide."""
-    return max(1, GVF_STRIP_ELEMS // w)
-
-
-def _strip_buffers(w: int) -> tuple:
-    """One component's work buffers for steps on a field `w` pixels wide: a
-    strip's lap and tmp, a strip's first or last column, and the old value of
-    the row above the current strip."""
-    rows = _strip_rows(w)
-    return np.empty(rows * w), np.empty(rows * w), np.empty(rows), np.empty(w)
-
-
 def _step(
     field: np.ndarray, f: np.ndarray, g: np.ndarray, buffers: tuple, mu: float, dt: float, tol: float
 ) -> float:
     """One Jacobi step on one component `field`, in place, a strip at a time.
 
+    Each `raster.row_strips` strip is copied into the middle of a padded
+    window, between the kept old row above it and the row below it (the
+    strip's own edge row at the image's top and bottom) and one replicated
+    column on each side. On that window the step is the whole-image
+    expression: lap = ((up + down) + left) + right - 4 w, then
+    r = mu lap - (w - f) g, so every pixel gets its floating-point
+    operations in the same order.
+
     Returns the step's max |r|, exact below `tol`: once it reaches `tol` the
     step cannot stop, so the rest of the strips skip the reduction.
     """
-    h, w = g.shape
-    rows = _strip_rows(w)
-    lap, tmp, edge, up = buffers
-    flat = field.reshape(h * w)  # a strip is a slice of these flat views
-    flat_f = f.reshape(h * w)
-    flat_g = g.reshape(h * w)
+    h = field.shape[0]
+    window, lap, tmp = buffers
+    window[0, 1:-1] = field[0]
     r_max = 0.0
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        n = r1 - r0
-        s = flat[r0 * w : r1 * w]
-        a = lap[: n * w]
-        b = tmp[: n * w]
-        s2 = s.reshape(n, w)
-        a2 = a.reshape(n, w)
-        col = edge[:n]
-        # up + down, edge-replicated at the top and bottom rows
-        above = s2[0] if r0 == 0 else up
-        below = field[min(r1, h - 1)]
-        if n == 1:
-            np.add(above, below, out=a2[0])
-        else:
-            np.add(above, s2[1], out=a2[0])
-            np.add(s2[:-2], s2[2:], out=a2[1:-1])
-            np.add(s2[-2], below, out=a2[-1])
-        # + left, + right as shifts along the flat strip; the first and
-        # last columns, which took a value from the next row over, are
-        # redone from their saved sums, edge-replicated
-        np.copyto(col, a2[:, 0])
-        a[1:] += s[:-1]
-        np.add(col, s2[:, 0], out=a2[:, 0])
-        np.copyto(col, a2[:, -1])
-        a[:-1] += s[1:]
-        np.add(col, s2[:, -1], out=a2[:, -1])
+    for rows, _, _ in row_strips(field.shape, 0):
+        n = rows.stop - rows.start
+        p = window[: n + 2]
+        s = field[rows]
+        p[1:-1, 1:-1] = s
+        p[-1, 1:-1] = field[min(rows.stop, h - 1)]
+        p[1:-1, 0] = s[:, 0]
+        p[1:-1, -1] = s[:, -1]
+        a, b = lap[:n], tmp[:n]
+        np.add(p[:-2, 1:-1], p[2:, 1:-1], out=a)
+        a += p[1:-1, :-2]
+        a += p[1:-1, 2:]
         np.multiply(s, 4.0, out=b)
         a -= b
-        # r = mu lap - (w - f) g
         a *= mu
-        np.subtract(s, flat_f[r0 * w : r1 * w], out=b)
-        b *= flat_g[r0 * w : r1 * w]
+        np.subtract(s, f[rows], out=b)
+        b *= g[rows]
         a -= b
         if r_max < tol:
             r_max = max(r_max, float(a.max()), -float(a.min()))
-        np.copyto(up, s2[-1])
         a *= dt
         s += a
+        window[0] = p[-2]  # the strip's last row, old, is the next strip's row above
     return r_max
 
 
@@ -233,28 +202,18 @@ def _jacobi(
     |r| (exact below `tol`).
 
     The two components never read each other, so each step runs as two
-    one-component steps, u and then v, on the caller's thread. The step's
-    max |r| is the larger of the two.
-
-    A component's step runs one cache-sized strip of rows at a time, from
-    the kept old value of the row above the strip; every pixel gets the
-    same floating-point operations in the same order as in a whole-image
-    step. Within a strip, up + down is one add of the rows above and below
-    each inner row, plus one row add each for the strip's first and last
-    rows (or a single add of the row above and the row below for a strip
-    one row high). Left and right are added as shifts along the flat strip,
-    so a row's first column first takes the previous row's last value; that
-    column is redone from its saved up + down sum plus its own
-    (edge-replicated) value, and the last column likewise around the right
-    shift.
+    one-component steps (`_step`), u and then v, on the caller's thread;
+    the step's max |r| is the larger of the two. Both share one padded
+    window and two strip buffers, sized for the tallest strip.
     """
     (u, v), (f_x, f_y) = fields, forces
+    rows = row_strips(g.shape, 0)[0][0].stop
     w = g.shape[1]
-    u_buffers, v_buffers = _strip_buffers(w), _strip_buffers(w)
+    buffers = np.empty((rows + 2, w + 2)), np.empty((rows, w)), np.empty((rows, w))
     done, r_max = 0, 0.0
     for done in range(1, iters + 1):
-        r_u = _step(u, f_x, g, u_buffers, mu, dt, tol)
-        r_max = max(r_u, _step(v, f_y, g, v_buffers, mu, dt, tol))
+        r_u = _step(u, f_x, g, buffers, mu, dt, tol)
+        r_max = max(r_u, _step(v, f_y, g, buffers, mu, dt, tol))
         if r_max < tol:
             break
     return done, r_max
@@ -282,9 +241,11 @@ def compute_gvf(
     calls it on the 4 x 4 block mean of the energy with 200 // 16 = 12
     steps, which spread as far in pixels as 200 full-resolution steps. On
     the benchmark scenes those 12 steps end with a residual near 6.9e-3
-    against a tolerance near 6.1e-5, so the stop test does not fire. Each
-    step updates u and then v on the calling thread, strip by strip, with
-    the bits of a whole-image step (see `_jacobi`).
+    against a tolerance near 6.1e-5, so the stop test does not fire. Only
+    below sigma 5 (k = 1) does the extract solve the full image. Each step
+    updates u and then v on the calling thread, one `raster.row_strips`
+    strip at a time on a padded window, with the bits of a whole-image step
+    (see `_step`).
     """
     if not 0 < mu < np.inf:
         raise ValueError(f"mu must be a positive finite number, got {mu!r}")

@@ -430,7 +430,12 @@ def test_extract_invalid_pipeline_value_exits_2(small_scene_dir, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "config, message",
-    [({"conectivity": 4}, "unknown key 'conectivity'"), ([4], "{cfg} must hold a JSON object")],
+    [
+        ({"conectivity": 4}, "unknown key 'conectivity'"),
+        ([4], "{cfg} must hold a JSON object"),
+        # argparse guards only the --mode flag's choices.
+        ({"mode": "fast"}, "mode must be one of"),
+    ],
 )
 def test_extract_unknown_config_key_exits_2(small_scene_dir, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -504,13 +509,20 @@ BAD_WKT = b"POLYGON((0 0, 1 x, 1 1, 0 0))\n"
 NAN_WKT = b"POLYGON((0 0, 1 0, 1 nan, 0 1, 0 0))\n"
 BAD_TRANSFORM_ARGV = ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{scene}/cloud.xyz",
                       "--transform", "{bad}", "--outdir", "{out}"]
+BAD_IMAGE_ARGV = ["extract", "--image", "{bad}", "--cloud", "{scene}/cloud.xyz",
+                  "--transform", "{scene}/transform.txt", "--outdir", "{out}"]
+# The message after the stage tag and path, for the inputs whose message no other test pins.
+MALFORMED_MESSAGES = {
+    b"": "empty PNM data",
+    b"P5\n0 4\n255\n": "PNM dimensions must be positive",
+    b"0 0 0\n": "line 1: expected 'sx sy tx ty'",
+}
 
 
 @pytest.mark.parametrize(
     "stage, content, argv",
     [
-        ("image", TRUNCATED_PGM, ["extract", "--image", "{bad}", "--cloud", "{scene}/cloud.xyz",
-                                  "--transform", "{scene}/transform.txt", "--outdir", "{out}"]),
+        ("image", TRUNCATED_PGM, BAD_IMAGE_ARGV),
         ("truth", BAD_WKT, ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{scene}/cloud.xyz",
                             "--transform", "{scene}/transform.txt", "--outdir", "{out}", "--truth", "{bad}"]),
         ("extracted", BAD_WKT, ["evaluate", "--extracted", "{bad}", "--truth", "{scene}/truth.wkt"]),
@@ -526,8 +538,10 @@ BAD_TRANSFORM_ARGV = ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{sc
         ("truth", NAN_WKT, ["evaluate", "--extracted", "{scene}/truth.wkt", "--truth", "{bad}"]),
         ("truth", NAN_WKT, ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{scene}/cloud.xyz",
                             "--transform", "{scene}/transform.txt", "--outdir", "{out}", "--truth", "{bad}"]),
-        *[("image", data, ["extract", "--image", "{bad}", "--cloud", "{scene}/cloud.xyz",
-                           "--transform", "{scene}/transform.txt", "--outdir", "{out}"]) for data in OUT_OF_RANGE_PNM],
+        *[("image", data, BAD_IMAGE_ARGV) for data in OUT_OF_RANGE_PNM],
+        ("image", b"", BAD_IMAGE_ARGV),
+        ("image", b"P5\n0 4\n255\n", BAD_IMAGE_ARGV),
+        ("pairs", b"0 0 0\n", ["fit-transform", "--pairs", "{bad}"]),
     ],
 )
 def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, capsys, stage, content, argv):
@@ -536,7 +550,7 @@ def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, caps
     out = tmp_path / "out"
     argv = [a.format(bad=bad, scene=small_scene_dir, out=out) for a in argv]
     assert main(argv) == 2
-    assert f"error: [{stage}] {bad}: " in capsys.readouterr().err
+    assert f"error: [{stage}] {bad}: {MALFORMED_MESSAGES.get(content, '')}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -565,6 +579,27 @@ def test_extract_degenerate_cloud_exits_1(small_scene_dir, tmp_path, capsys, edi
     )
     assert rc == 1
     assert f"error: [lidar] {message}" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
+def test_extract_unexpected_stage_error_exits_1_as_internal(small_scene_dir, tmp_path, capsys, monkeypatch):
+    # An exception no stage maps to its tag ends the run as [internal], not as a traceback.
+    def fail(*args):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(cli, "prepare_fields", fail)
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "extract",
+            "--image", str(small_scene_dir / "scene.pgm"),
+            "--cloud", str(small_scene_dir / "cloud.xyz"),
+            "--transform", str(small_scene_dir / "transform.txt"),
+            "--outdir", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "error: [internal] RuntimeError: stage broke\n" in capsys.readouterr().err
     assert not (out / "run.json").exists()
 
 
@@ -663,17 +698,18 @@ def test_evaluate_degenerate_polygon_exits_1(small_scene_dir, tmp_path, capsys):
 # evaluate
 
 
-def test_evaluate_self_is_perfect(small_scene_dir, tmp_path):
+def test_evaluate_self_is_perfect(small_scene_dir, tmp_path, capsys):
     report_path = tmp_path / "report.json"
-    rc = main(
-        [
-            "evaluate",
-            "--extracted", str(small_scene_dir / "truth.wkt"),
-            "--truth", str(small_scene_dir / "truth.wkt"),
-            "--out", str(report_path),
-        ]
-    )
-    assert rc == 0
+    argv = [
+        "evaluate",
+        "--extracted", str(small_scene_dir / "truth.wkt"),
+        "--truth", str(small_scene_dir / "truth.wkt"),
+    ]
+    assert main(argv + ["--out", str(report_path)]) == 0
+    # Without --out the same report goes to stdout.
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report_path.read_text()
     report = json.loads(report_path.read_text())
     assert set(report["aggregate"]) == {"iou", "cp", "cr", "edc", "dare"}
     assert report["aggregate"]["iou"] == 100.0
@@ -768,7 +804,7 @@ def test_evaluate_pairing_index_pairs_by_position(tmp_path):
 # fit-transform
 
 
-def test_fit_transform_round_trip(tmp_path):
+def test_fit_transform_round_trip(tmp_path, capsys):
     from buildsnake.transform import AffineTransform2D
 
     truth = AffineTransform2D(1.0 / 0.15, 0.0, 0.0, 1.0 / 0.15, 2.0, -3.0)
@@ -784,6 +820,10 @@ def test_fit_transform_round_trip(tmp_path):
     )
     out = tmp_path / "t.txt"
     assert main(["fit-transform", "--pairs", str(pairs), "--out", str(out)]) == 0
+    # Without --out the same line goes to stdout.
+    capsys.readouterr()
+    assert main(["fit-transform", "--pairs", str(pairs)]) == 0
+    assert capsys.readouterr().out == out.read_text()
     fitted = AffineTransform2D.from_line(out.read_text())
     assert fitted.a == pytest.approx(truth.a, abs=1e-9)
     assert fitted.tx == pytest.approx(truth.tx, abs=1e-7)

@@ -8,15 +8,13 @@ import pytest
 from buildsnake import energy
 from buildsnake.config import SnakeConfig
 from buildsnake.energy import (
-    GVF_STRIP_ELEMS,
     TERM_EPS,
-    _strip_rows,
     compute_gvf,
     gvf_residual,
     image_energy,
     image_energy_terms,
 )
-from buildsnake.raster import gaussian_smooth
+from buildsnake.raster import STRIP_ELEMS, gaussian_smooth, row_strips
 from buildsnake.synthetic import generate_scene, quebec_like_spec
 from conftest import traced_peak
 from test_raster import SEAM_CASES, STRIP_SEAM_SHAPES, seam_image
@@ -176,12 +174,14 @@ def test_edge_force_peak_memory_is_its_outputs_and_strips():
 
 
 def test_gvf_peak_memory_is_its_fields_and_strip_buffers():
-    # f_x, f_y, g, u and v, five arrays, plus each component's strip
-    # buffers: no f copy lives past the edge force.
+    # f_x, f_y, g, u and v, five arrays, plus the one padded window and two
+    # strip buffers that u and v share, and the buffers numpy's ufunc
+    # iterator takes for the step's two strided window operands (bufsize
+    # elements each): no f copy lives past the edge force.
     e_img = seam_image(MEM_SHAPE, "random")
-    rows = _strip_rows(MEM_SHAPE[1])
-    component_bytes = 2 * rows * MEM_SHAPE[1] * 8  # one component's lap and tmp buffers
-    assert traced_peak(compute_gvf, e_img, 0.2, 2) <= 5 * ARRAY_BYTES + 2 * component_bytes + 0.05 * ARRAY_BYTES
+    h, w = strip_rows(MEM_SHAPE[1]), MEM_SHAPE[1]
+    buffer_bytes = ((h + 2) * (w + 2) + 2 * h * w) * 8 + 2 * np.getbufsize() * 8
+    assert traced_peak(compute_gvf, e_img, 0.2, 2) <= 5 * ARRAY_BYTES + buffer_bytes + 0.05 * ARRAY_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,12 @@ def assert_gvf_matches_reference(monkeypatch, e_img, **kwargs):
     return field
 
 
-ROWS = _strip_rows(1000)  # strip height of a field 1000 px wide
+def strip_rows(w):
+    """Rows per `raster.row_strips` strip, and so per GVF step strip, of a field `w` px wide."""
+    return row_strips((STRIP_ELEMS, w), 0)[0][0].stop
+
+
+ROWS = strip_rows(1000)  # strip height of a field 1000 px wide
 
 # (H, W), from the solver's strip height: the smallest fields; a single strip
 # under and at the strip height; two strips, the second partial and then
@@ -342,22 +347,22 @@ GVF_ORACLE_SHAPES = [
     (2 * ROWS, 1000),
     (2 * ROWS + 1, 1000),
     (5 * ROWS + 13, 1000),
-    (4, GVF_STRIP_ELEMS + 5),
-    (3, GVF_STRIP_ELEMS + 5),
-    (3, GVF_STRIP_ELEMS),
-    (9, GVF_STRIP_ELEMS // 4),
-    (2 * _strip_rows(16) + 3, 16),
+    (4, STRIP_ELEMS + 5),
+    (3, STRIP_ELEMS + 5),
+    (3, STRIP_ELEMS),
+    (9, STRIP_ELEMS // 4),
+    (2 * strip_rows(16) + 3, 16),
 ]
 
 
 def test_gvf_oracle_shapes_cover_the_strip_layouts():
     layouts = []  # (H, W, rows per strip, strips)
     for h, w in GVF_ORACLE_SHAPES:
-        rows = _strip_rows(w)
-        layouts.append((h, w, rows, -(-h // rows)))
+        strips = row_strips((h, w), 0)
+        layouts.append((h, w, strip_rows(w), len(strips)))
     assert any(strips > 2 and h % rows == 1 and rows > 1 for h, w, rows, strips in layouts)
     assert any(strips == 2 and h % rows == 0 for h, w, rows, strips in layouts)
-    assert any(w > GVF_STRIP_ELEMS and strips > 2 for h, w, rows, strips in layouts)
+    assert any(w > STRIP_ELEMS and strips > 2 for h, w, rows, strips in layouts)
     assert any(strips == 1 and h > 3 for h, w, rows, strips in layouts)
 
 
@@ -386,7 +391,7 @@ def test_gvf_equals_reference_at_early_stop_with_flat_top_strips(monkeypatch):
     # stop test must still read every strip until one reaches the tolerance.
     e_img = np.zeros((80, 1000))
     e_img[40:] = np.random.default_rng(5).normal(0.0, 0.5, (40, 1000))
-    assert _strip_rows(1000) < 40
+    assert strip_rows(1000) < 40
     field = assert_gvf_matches_reference(monkeypatch, e_img, mu=0.2, iters=400, residual_factor=0.02)
     assert 1 < field.iters < 400
 
@@ -452,7 +457,7 @@ class StepFailure(Exception):
 
 
 @pytest.mark.parametrize("failing", ["u", "v"])
-def test_gvf_step_failure_propagates_and_joins_the_worker(failing, monkeypatch):
+def test_gvf_step_failure_propagates_and_starts_no_thread(failing, monkeypatch):
     # A component step that raises on its third call, u's or v's, ends the
     # solve with that exception: no later step runs, and no thread is left
     # running, as the solve starts none.
