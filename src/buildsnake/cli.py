@@ -14,7 +14,7 @@ from . import lidar, metrics, raster, synthetic
 from .config import MODES, SnakeConfig, as_number
 from .geometry import polygon_to_wkt, wkt_to_polygon
 from .polygonize import building_mbr, fit_rectilinear
-from .snake import prepare_fields, run_snake
+from .snake import force_magnitude, prepare_fields, run_snake
 from .transform import AffineTransform2D, fit_least_squares
 
 EXIT_OK = 0
@@ -73,7 +73,7 @@ def extract_buildings(
     try:
         force = prepare_fields(gray, cfg)
         if debug is not None and cfg.mode != "basic":
-            debug["gvf_magnitude"] = np.hypot(*force)
+            debug["gvf_magnitude"] = force_magnitude(force)
         for building_id, hull in hulls:
             init = t.apply(hull)
             if np.any(init.max(axis=0) < 0) or np.any(init.min(axis=0) > (w - 1, h - 1)):

@@ -236,13 +236,13 @@ def compute_gvf(
     checkerboard noise on strong-gradient inputs.
 
     `iters` is a diffusion time, not a solver cap: the field spreads the
-    edge force about sqrt(iters) cells. The extract does not call this
-    solver on the full image at the default sigma: `snake.prepare_fields`
-    calls it on the 4 x 4 block mean of the energy with 200 // 16 = 12
-    steps, which spread as far in pixels as 200 full-resolution steps. On
-    the benchmark scenes those 12 steps end with a residual near 6.9e-3
-    against a tolerance near 6.1e-5, so the stop test does not fire. Only
-    below sigma 5 (k = 1) does the extract solve the full image. Each step
+    edge force about sqrt(iters) cells. At the default sigma the extract
+    calls it on the energy of the image's 4 x 4 block mean, built at
+    sigma / 4, with 200 // 16 = 12 steps, which spread as far in pixels as
+    200 full-resolution steps. On the benchmark scenes those 12 steps end
+    with a residual near 7.0e-3 against a tolerance near 6.2e-5, so the
+    stop test does not fire. Only below sigma 5 (k = 1) does the extract
+    solve the full image. Each step
     updates u and then v on the calling thread, one `raster.row_strips`
     strip at a time on a padded window, with the bits of a whole-image step
     (see `_step`).

@@ -16,7 +16,6 @@ __all__ = [
     "convex_hull_indices",
     "min_area_rect",
     "hausdorff_distance",
-    "polygon_area",
     "polygon_centroid",
     "polygon_is_simple",
     "points_in_polygon",
@@ -237,16 +236,6 @@ def polygon_is_simple(polygon) -> bool:
         if overlap.any():
             return False
     return True
-
-
-def polygon_area(polygon) -> float:
-    """Absolute shoelace area of a simple polygon."""
-    pts = _as_points(polygon)
-    if len(pts) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    if not polygon_is_simple(pts):
-        raise ValueError("polygon is self-intersecting")
-    return abs(_signed_area(pts))
 
 
 def polygon_centroid(polygon) -> tuple[float, float]:

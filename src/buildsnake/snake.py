@@ -13,15 +13,19 @@ closed form needs no BLAS call and gives the same bits on any thread count.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SnakeConfig
 from .energy import compute_gvf, edge_force, image_energy
 from .geometry import hausdorff_distance, polygon_perimeter
+from .raster import row_strips
 
 __all__ = [
+    "ForceField",
     "prepare_fields",
+    "force_magnitude",
     "resample_closed",
     "system_inverse",
     "evolve_step",
@@ -32,33 +36,78 @@ __all__ = [
 ]
 
 
-def _rescale_force(fx: np.ndarray, fy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide in place by the global max magnitude so the strongest force is 1.
+@dataclass(frozen=True)
+class ForceField:
+    """The force of one image of (H, W) `shape`: components u and v on a grid
+    k times coarser, whose cell (i, j) is centred on pixel (x, y) =
+    (k j + (k - 1) / 2, k i + (k - 1) / 2). At k = 1 it is the pixel grid."""
 
-    Keeps relative strengths intact while making the step size implied by
-    gamma independent of the image's dynamic range.
+    u: np.ndarray
+    v: np.ndarray
+    k: int
+    shape: tuple[int, int]
+
+
+def _peak_lines(n: int, m: int, k: int) -> np.ndarray:
+    """The pixel lines of an axis of n pixels next to one of its m grid
+    centres k i + (k - 1) / 2 (the floor and ceil of each), clipped to the
+    image: a centre past the last pixel gives the image's edge line."""
+    centres = k * np.arange(m) + (k - 1) / 2
+    return np.unique(np.clip(np.concatenate([np.floor(centres), np.ceil(centres)]), 0, n - 1))
+
+
+def _magnitudes(force: ForceField, ys: np.ndarray, xs: np.ndarray):
+    """|F| as `sample_force` gives it at the pixels ys x xs, one block per
+    `raster.row_strips` strip of ys."""
+    for rows, _, _ in row_strips((len(ys), len(xs)), 0):
+        pts = np.stack(np.broadcast_arrays(xs, ys[rows, None]), axis=-1)
+        f = sample_force(force, pts.reshape(-1, 2))
+        yield np.hypot(f[:, 0], f[:, 1]).reshape(-1, len(xs))
+
+
+def force_magnitude(force: ForceField) -> np.ndarray:
+    """|F| at every pixel of the image, as an (H, W) array."""
+    return np.vstack(list(_magnitudes(force, *(np.arange(n) for n in force.shape))))
+
+
+def _force_peak(force: ForceField) -> float:
+    """Max |F| over the image's pixels, as `sample_force` gives F there.
+
+    At k = 1 the pixels are the grid. Otherwise F is affine along each axis
+    between neighbouring grid centres and constant past the end ones, so
+    |F| is convex on each such stretch of a pixel row or column, and peaks
+    on an end pixel: on a `_peak_lines` line. Only those are sampled.
     """
-    peak = float(np.hypot(fx, fy).max())
+    if force.k == 1:
+        return float(np.hypot(force.u, force.v).max())
+    ys, xs = (_peak_lines(n, m, force.k) for n, m in zip(force.shape, force.u.shape))
+    return max(float(mag.max()) for mag in _magnitudes(force, ys, xs))
+
+
+def _rescale_force(force: ForceField) -> ForceField:
+    """Divide u and v in place by `_force_peak`, so the strongest force on
+    the image is 1 whatever the image's dynamic range."""
+    peak = _force_peak(force)
     if peak > 0:
-        fx /= peak
-        fy /= peak
-    return fx, fy
+        for component in (force.u, force.v):
+            component /= peak
+    return force
 
 
 def _gvf_scale(shape: tuple[int, int], sigma: float) -> int:
     """Block size k of the grid the GVF is solved on: int(sigma / 2.5),
     lowered until the coarse grid has at least 3 cells a side, and at least 1.
 
-    A k x k block mean loses little of an energy already smoothed over
-    sigma, and at sigma < 5 k is 1, the full-resolution grid.
+    A k x k block mean loses little of an image that the energy smooths
+    over sigma, and at sigma < 5 k is 1, the full-resolution grid.
     ceil(m / k) >= 3 cells on a side of m pixels means k <= (m - 1) // 2.
     """
     return max(1, min(int(sigma / 2.5), (min(shape) - 1) // 2))
 
 
-def _block_mean(e_img: np.ndarray, k: int) -> np.ndarray:
-    """Mean of each k x k block of `e_img`, edge-replicated to a multiple of
-    k; `e_img` itself at k = 1.
+def _block_mean(img: np.ndarray, k: int) -> np.ndarray:
+    """Mean of each k x k block of `img`, edge-replicated to a multiple of
+    k; `img` itself at k = 1.
 
     Each value enters divided by k^2, which no sum of them can overflow; for
     a power-of-two k that is the bits of the sum divided. The sum runs over
@@ -66,91 +115,45 @@ def _block_mean(e_img: np.ndarray, k: int) -> np.ndarray:
     ceil(H / k) rows is gathered at a time.
     """
     if k == 1:
-        return e_img
-    h, w = e_img.shape
+        return img
+    h, w = img.shape
     rows = np.minimum(np.arange(-(-h // k) * k), h - 1).reshape(-1, k)
     cols = np.minimum(np.arange(-(-w // k) * k), w - 1).reshape(-1, k)
     coarse = np.zeros((len(rows), len(cols)))
     for i in range(k):
-        band = e_img[rows[:, i]]
+        band = np.asarray(img[rows[:, i]], dtype=float)
         band /= k * k
         for j in range(k):
             coarse += band[:, cols[:, j]]
     return coarse
 
 
-def _bilinear_axis(n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For n fine pixels over m coarse cells of k pixels, each pixel's lower
-    cell and the weights (1 - t, t) of that cell and the next.
+def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ForceField:
+    """The mode's external force on `gray`, rescaled to unit peak magnitude
+    over the image's pixels; one field serves every snake on the image.
 
-    Cell i's centre is at pixel k i + (k - 1) / 2; a pixel beyond the first
-    or last centre takes that cell's value.
-    """
-    c = (np.arange(n) - (k - 1) / 2) / k
-    np.clip(c, 0, m - 1, out=c)
-    lower = np.minimum(c.astype(np.intp), m - 2)
-    t = c - lower
-    return lower, 1 - t, t
-
-
-def _upsample(coarse: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
-    """Bilinear upsample of `coarse`, one value per k x k block, to a
-    C-contiguous array of `shape`; a copy of `coarse` at k = 1.
-
-    Columns first on the coarse rows, then rows, in place on the full-size
-    gather, so one component holds two full-size arrays at its peak.
-    """
-    if k == 1:
-        return coarse.copy()
-    (y0, sy, ty), (x0, sx, tx) = (_bilinear_axis(n, m, k) for n, m in zip(shape, coarse.shape))
-    wide = np.take(coarse, x0, axis=1)
-    wide *= sx
-    wide += np.take(coarse, x0 + 1, axis=1) * tx
-    out = wide[y0]
-    out *= sy[:, None]
-    lower = wide[y0 + 1]
-    lower *= ty[:, None]
-    out += lower
-    return out
-
-
-def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The mode's external force on `gray` as a pair (f_x, f_y) of
-    C-contiguous (H, W) arrays.
-
-    Every mode starts from the one edge force -grad(E_img) of
-    `energy.edge_force`: basic uses it as the raw potential force, and gvf
-    and proposed diffuse it into a GVF field. Either is rescaled to unit
-    peak magnitude. One pair serves every snake on the image.
-
-    The GVF is solved on a grid k = `_gvf_scale` times coarser: on the k x k
-    block mean of the energy, with gvf_iters // k^2 steps (at least one).
-    Diffusion spreads about sqrt(steps) cells, so the coarse solve reaches
-    the same distance in pixels as gvf_iters fine steps. u and v are then
-    upsampled bilinearly to full size. At k = 1 the field is `compute_gvf`'s
-    on the full image, rescaled on copies, so the solved field stays as it
-    returned it.
+    Basic mode uses the edge force -grad(E_img) of `energy.edge_force` on
+    the full image (k = 1). Gvf and proposed stay on a grid k = `_gvf_scale`
+    times coarser: the energy is built on the k x k block mean of `gray` at
+    sigma / k, and its edge force is diffused there into a GVF field with
+    gvf_iters // k^2 steps (at least one), which spread as far in pixels as
+    gvf_iters fine steps. The field is rescaled on copies, so the solved one
+    stays as `compute_gvf` returned it.
 
     The energy and the edge force are taken one strip of rows at a time
     (`raster.row_strips`), with the bits of whole-image np.gradient calls:
     in basic mode at most three image-sized arrays are held beyond `gray`.
-    At k > 1 the energy is freed before the GVF solve, so once it is built
-    at most the force pair and one more image-sized array are held.
     """
-    e_img = image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
+    shape = np.shape(gray)
+    k = 1 if cfg.mode == "basic" else _gvf_scale(shape, cfg.sigma)
+    e_img = image_energy(_block_mean(gray, k), cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma / k)
     if cfg.mode == "basic":
-        f_x, f_y = edge_force(e_img)
-        del e_img
-        return _rescale_force(f_x, f_y)
-    shape = e_img.shape
-    k = _gvf_scale(shape, cfg.sigma)
-    coarse = _block_mean(e_img, k)
+        u, v = edge_force(e_img)
+    else:
+        field = compute_gvf(e_img, mu=cfg.mu, iters=max(1, cfg.gvf_iters // (k * k)))
+        u, v = field.u.copy(), field.v.copy()
     del e_img
-    field = compute_gvf(coarse, mu=cfg.mu, iters=max(1, cfg.gvf_iters // (k * k)))
-    del coarse
-    f_x = _upsample(field.u, k, shape)
-    f_y = _upsample(field.v, k, shape)
-    return _rescale_force(f_x, f_y)
+    return _rescale_force(ForceField(u, v, k, shape))
 
 
 def resample_closed(points: np.ndarray, n: int) -> np.ndarray:
@@ -227,37 +230,40 @@ def evolve_step(points: np.ndarray, force: np.ndarray, cfg: SnakeConfig, inv_sys
     return inv_system @ (cfg.gamma * np.asarray(points, dtype=float) + force)
 
 
-def sample_force(force: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
-    """Bilinear (f_x, f_y) of the force pair at each point inside the image.
+def sample_force(force: ForceField, points: np.ndarray) -> np.ndarray:
+    """Bilinear (f_x, f_y) of the force field at each point of the image.
 
-    Both components share the corner indices and weights, and the corners are
-    gathered from each flattened component. `run_snake` keeps every point in
-    [0, W - 1] x [0, H - 1]; a point outside uses its nearest border cell, so
-    its value is that cell's bilinear form extrapolated.
+    A point p samples the grid at c = (p - (k - 1) / 2) / k, clamped to the
+    grid, so past the first or last grid centre the field is constant along
+    that axis; at k = 1, c = p. Both components share the corner indices and
+    weights, and the corners are gathered from each flattened component.
 
     The flattening is a view only for a C-contiguous component; any other
     is copied whole on every call, which `prepare_fields` avoids by
-    returning C-contiguous pairs.
+    returning C-contiguous components.
     """
     pts = np.asarray(points, dtype=float)
-    h, w = force[0].shape
+    h, w = force.u.shape
     if h < 2 or w < 2:
         raise ValueError(f"force field must be at least 2x2, got {h}x{w}")
-    # Truncation is floor for points >= 0; the lower bound keeps any other
-    # point off a wrapped index.
-    corner = pts.astype(np.intp)
+    # Adding (1 - k) / 2 turns a -0.0 point into +0.0, so no weight is -0.0.
+    c = (pts + (1 - force.k) / 2) / force.k
+    corner = c.astype(np.intp)  # truncation is floor for c >= 0; the bounds catch the rest
     np.minimum(corner, (w - 2, h - 2), out=corner)
     np.maximum(corner, 0, out=corner)
-    t = pts - corner
+    # With the corner on the grid, a weight clamped to [0, 1] is c clamped to the grid.
+    t = c - corner
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
     s = 1 - t
     tx, ty = t[:, 0], t[:, 1]
     sx, sy = s[:, 0], s[:, 1]
     i00 = corner[:, 1] * w + corner[:, 0]
     i01, i10, i11 = i00 + 1, i00 + w, i00 + w + 1
     out = np.empty((len(pts), 2))
-    for k, field in enumerate(force):
+    for col, field in enumerate((force.u, force.v)):
         flat = field.reshape(-1)
-        out[:, k] = flat[i00] * sx * sy + flat[i01] * tx * sy + flat[i10] * sx * ty + flat[i11] * tx * ty
+        out[:, col] = flat[i00] * sx * sy + flat[i01] * tx * sy + flat[i10] * sx * ty + flat[i11] * tx * ty
     return out
 
 
@@ -393,21 +399,21 @@ def shape_force(
     return force
 
 
-def run_snake(init: np.ndarray, force: tuple[np.ndarray, np.ndarray], cfg: SnakeConfig) -> np.ndarray:
+def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarray:
     """Evolve a snake from the projected boundary until convergence.
 
     `init` is the (M, 2) pixel array of the boundary; it provides both the
     initial contour and the shape-similarity reference in proposed mode.
-    `force` is the image's `prepare_fields` pair, whose (H, W) bounds the
-    contour: the initial resample, each evolve step and each periodic
-    resample are clipped to [0, W - 1] x [0, H - 1], so every point that
-    `sample_force` sees lies in the image. Returns the final closed contour
+    `force` is the image's `prepare_fields` field, whose image shape (H, W)
+    bounds the contour: the initial resample, each evolve step and each
+    periodic resample are clipped to [0, W - 1] x [0, H - 1], so every point
+    that `sample_force` sees lies in the image. Returns the final closed contour
     as (N, 2) pixels.
     """
     boundary = np.asarray(init, dtype=float)
     if len(boundary) < 3:
         raise ValueError("initial boundary needs at least 3 points")
-    h, w = force[0].shape
+    h, w = force.shape
     n = max(32, int(round(polygon_perimeter(boundary) / 2.0)))
     bounds = (w - 1, h - 1)
     pts = np.clip(resample_closed(boundary, n), 0, bounds)

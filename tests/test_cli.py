@@ -373,6 +373,9 @@ def test_extract_debug_and_svg_outputs(small_scene_dir, tmp_path):
     assert (out / "overlay.svg").read_text().startswith("<svg")
     for name in ("binary_grid.pgm", "labels.pgm", "gvf_magnitude.pgm", "snake_1.wkt", "init_1.wkt"):
         assert (out / "debug" / name).exists()
+    # The force lives on a coarse grid; its magnitude is sampled at every pixel of the image.
+    magnitude = raster.load_pnm((out / "debug" / "gvf_magnitude.pgm").read_bytes())
+    assert magnitude.shape == raster.load_pnm((small_scene_dir / "scene.pgm").read_bytes()).shape
 
 
 def test_extract_bad_config_value_exits_2(small_scene_dir, tmp_path, capsys):

@@ -121,13 +121,16 @@ def test_output_edges_rectilinear(shape, theta):
     assert rel.max() <= 1e-6
 
 
+def shoelace_area(polygon):
+    x, y = np.asarray(polygon, dtype=float).T
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
 @pytest.mark.parametrize("shape", [RECT, L_SHAPE, U_SHAPE])
 def test_output_area_near_snake_area(shape):
     snake = noisy_outline(shape, 200, noise=0.3, seed=5)
     result = fit_rectilinear(snake, building_mbr(shape))
-    from buildsnake.geometry import polygon_area
-
-    ratio = polygon_area(result.polygon) / polygon_area(shape)
+    ratio = shoelace_area(result.polygon) / shoelace_area(shape)
     assert 0.8 <= ratio <= 1.25
 
 

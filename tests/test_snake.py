@@ -12,6 +12,8 @@ from buildsnake.energy import compute_gvf, image_energy
 from buildsnake.geometry import GridSpec, polygon_perimeter, rasterize_polygon
 from buildsnake.synthetic import generate_scene, quebec_like_spec
 from buildsnake.snake import (
+    ForceField,
+    force_magnitude,
     prepare_fields,
     evolve_step,
     resample_closed,
@@ -274,10 +276,21 @@ def _reference_bilinear(field, x, y):
 
 
 def reference_sample_force(force, points):
-    """Reference sampler: one 2-D bilinear lookup per force component."""
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    return np.column_stack([_reference_bilinear(force[0], x, y), _reference_bilinear(force[1], x, y)])
+    """Reference sampler: each point p to the grid point (p + (1 - k) / 2) / k
+    (a -0.0 point to +0.0), clamped to the grid, then one 2-D bilinear
+    lookup per force component."""
+    h, w = force.u.shape
+    c = np.clip((np.asarray(points, dtype=float) + (1 - force.k) / 2) / force.k, 0, (w - 1, h - 1))
+    x, y = c[:, 0], c[:, 1]
+    return np.column_stack([_reference_bilinear(force.u, x, y), _reference_bilinear(force.v, x, y)])
+
+
+def reference_pixel_magnitude(force):
+    """|F| at every pixel of the image, from the reference sampler on one whole-image point array."""
+    h, w = force.shape
+    yy, xx = np.mgrid[0:h, 0:w]
+    f = reference_sample_force(force, np.column_stack([xx.ravel(), yy.ravel()]))
+    return np.hypot(f[:, 0], f[:, 1]).reshape(h, w)
 
 
 def _sample_points(rng, h, w):
@@ -317,7 +330,20 @@ def test_sample_force_equals_reference(shape, values):
         f.flat[1:2] = 1.0
         return f
 
-    force = (field(), field())
+    force = ForceField(field(), field(), 1, shape)
+    pts = _sample_points(rng, h, w)
+    assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
+
+
+# Image sides that are multiples of k and sides that are not, so that the
+# last grid centre lies past the image's last pixel.
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", [(40, 60), (37, 53), (53, 38)])
+def test_sample_force_equals_reference_on_coarse_grids(shape, k):
+    h, w = shape
+    rng = np.random.default_rng(h * 101 + w + k)
+    grid = (-(-h // k), -(-w // k))
+    force = ForceField(rng.normal(0.0, 1.0, grid), rng.normal(0.0, 1.0, grid), k, shape)
     pts = _sample_points(rng, h, w)
     assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
 
@@ -325,30 +351,37 @@ def test_sample_force_equals_reference(shape, values):
 def test_sample_force_equals_reference_on_non_contiguous_fields():
     rng = np.random.default_rng(8)
     fx = rng.normal(0.0, 1.0, (30, 20)).T
-    force = (fx, fx[::-1])
+    force = ForceField(fx, fx[::-1], 1, (20, 30))
     pts = _sample_points(rng, 20, 30)
     assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
 def test_sample_force_rejects_field_under_2x2(shape):
-    force = (np.zeros(shape), np.zeros(shape))
+    force = ForceField(np.zeros(shape), np.zeros(shape), 1, shape)
     with pytest.raises(ValueError, match="at least 2x2"):
         sample_force(force, np.zeros((3, 2)))
 
 
-def test_sample_force_extrapolates_linear_field_outside_the_image():
-    h, w = 7, 11
-    yy, xx = np.mgrid[0:h, 0:w].astype(float)
-    force = (0.5 * xx - 2.0 * yy + 3.0, -1.5 * xx + 0.25 * yy - 1.0)
-    pts = np.array([[-3.0, 2.0], [-0.5, -0.25], [4.0, -2.5], [w + 2.0, 3.0], [w - 0.5, h + 4.0], [-1e-12, 0.0]])
-    x, y = pts[:, 0], pts[:, 1]
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_sample_force_clamps_points_to_the_grid(k):
+    # A field linear in the grid coordinates is sampled exactly at the
+    # clamped grid point: inside the grid, past the first and last grid
+    # centres within the image, and outside the image.
+    h, w = 7 * k, 11 * k
+    gy, gx = np.mgrid[0:7, 0:11].astype(float)
+    force = ForceField(0.5 * gx - 2.0 * gy + 3.0, -1.5 * gx + 0.25 * gy - 1.0, k, (h, w))
+    pts = np.array(
+        [[-3.0, 2.0], [-0.5, -0.25], [4.0, -2.5], [w + 2.0, 3.0], [w - 0.5, h + 4.0], [-1e-12, 0.0],
+         [0.0, 0.0], [w - 1.0, h - 1.0], [0.4 * w, 0.7 * h], [(k - 1) / 2, (k - 1) / 2 + 1.25]]
+    )
+    x, y = (np.clip((pts[:, i] - (k - 1) / 2) / k, 0, n - 1) for i, n in ((0, 11), (1, 7)))
     expected = np.column_stack([0.5 * x - 2.0 * y + 3.0, -1.5 * x + 0.25 * y - 1.0])
     assert np.allclose(sample_force(force, pts), expected, rtol=0.0, atol=1e-12)
 
 
 def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypatch):
-    # Every sample of a short gvf-mode run on the bundled scene.
+    # Every sample of a short gvf-mode run on the bundled scene, on its 4 x 4 grid.
     _, img, cloud, _, t = quebec_scene
     calls = []
 
@@ -359,8 +392,47 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
     monkeypatch.setattr(snake_module, "sample_force", recording)
     extract_buildings(img, cloud, t, SnakeConfig(mode="gvf", max_iters=20))
     assert len(calls) >= 20
+    assert {force.k for force, _ in calls} == {4}
     for force, pts in calls:
         assert sample_force(force, pts).tobytes() == reference_sample_force(force, pts).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The force peak and magnitude over the image's pixels
+
+
+# Sides that are multiples of k, and sides one to k - 1 pixels short of one.
+PEAK_SHAPES = [(60, 60), (59, 61), (57, 43), (41, 58), (11, 13)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("shape", PEAK_SHAPES)
+def test_force_peak_equals_the_full_pixel_maximum(shape, k):
+    # The peak shortcut samples only the pixel lines next to a grid centre,
+    # clipped to the image; the oracle samples every pixel. Random grids put
+    # the largest |F| on every kind of line (floor, ceil, image edge), so
+    # leaving one kind out fails.
+    h, w = shape
+    grid = (-(-h // k), -(-w // k))
+    rng = np.random.default_rng(h * 101 + w + k)
+    for _ in range(40):
+        force = ForceField(rng.normal(0.0, 1.0, grid), rng.normal(0.0, 1.0, grid), k, shape)
+        peak = snake_module._force_peak(force)
+        full = float(reference_pixel_magnitude(force).max())
+        assert abs(peak - full) <= 2 * np.spacing(full)
+        if k == 1:
+            assert peak == float(np.hypot(force.u, force.v).max())
+
+
+def test_force_magnitude_samples_every_pixel():
+    # Tall enough for several strips of rows.
+    rng = np.random.default_rng(5)
+    force = ForceField(rng.normal(0.0, 1.0, (134, 28)), rng.normal(0.0, 1.0, (134, 28)), 3, (400, 83))
+    assert force_magnitude(force).tobytes() == reference_pixel_magnitude(force).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# prepare_fields against whole-image references
 
 
 def reference_gvf_scale(shape, sigma):
@@ -371,44 +443,56 @@ def reference_gvf_scale(shape, sigma):
     return k
 
 
-def reference_block_mean(e_img, k):
-    """Whole-image k x k block mean of the edge-padded energy, each value divided by k^2."""
-    h, w = e_img.shape
-    padded = np.pad(e_img, ((0, -h % k), (0, -w % k)), mode="edge")
+def reference_block_mean(img, k):
+    """Whole-image k x k block mean of the edge-padded image, each value divided by k^2."""
+    h, w = img.shape
+    padded = np.pad(img, ((0, -h % k), (0, -w % k)), mode="edge")
     return sum(padded[i::k, j::k] / (k * k) for i in range(k) for j in range(k))
 
 
-def reference_upsample(coarse, k, shape):
-    """Plain separable bilinear upsample; coarse cell i's centre is at pixel k i + (k - 1) / 2."""
+def reference_force(gray, cfg, k=None):
+    """The force before its rescale: the whole-image gradient of -E in basic
+    mode, or else the GVF field solved on the grid k (`reference_gvf_scale`
+    if None) times coarser, from the energy of the image's block mean at
+    sigma / k, with gvf_iters // k^2 steps."""
+    gray = np.asarray(gray, dtype=float)
+    if cfg.mode == "basic":
+        fy, fx = np.gradient(-reference_image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma))
+        return ForceField(fx, fy, 1, gray.shape)
+    k = reference_gvf_scale(gray.shape, cfg.sigma) if k is None else k
+    e_img = reference_image_energy(reference_block_mean(gray, k), cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma / k)
+    fx, fy, _ = reference_gvf(e_img, mu=cfg.mu, iters=max(1, cfg.gvf_iters // k**2))
+    return ForceField(fx, fy, k, gray.shape)
 
-    def axis(n, m):
-        c = np.clip((np.arange(n) - (k - 1) / 2) / k, 0, m - 1)
-        lower = np.clip(np.floor(c).astype(int), 0, m - 2)
-        return lower, c - lower
 
-    (y0, ty), (x0, tx) = axis(shape[0], coarse.shape[0]), axis(shape[1], coarse.shape[1])
-    wide = coarse[:, x0] * (1 - tx) + coarse[:, x0 + 1] * tx
-    return wide[y0] * (1 - ty)[:, None] + wide[y0 + 1] * ty[:, None]
+def divided(force, peak):
+    """Copies of force's components divided by peak, or force itself at peak 0."""
+    return ForceField(force.u / peak, force.v / peak, force.k, force.shape) if peak > 0 else force
 
 
 def reference_prepare_fields(gray, cfg, k=None):
-    """Force field as divided copies of the whole-image gradient of -E or of
-    the GVF field, solved on the grid k (`reference_gvf_scale` if None) times
-    coarser with gvf_iters // k^2 steps and upsampled."""
-    e_img = reference_image_energy(gray, cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma)
-    if cfg.mode == "basic":
-        fy, fx = np.gradient(-e_img)
-    else:
-        k = reference_gvf_scale(e_img.shape, cfg.sigma) if k is None else k
-        if k == 1:
-            fx, fy, _ = reference_gvf(e_img, mu=cfg.mu, iters=cfg.gvf_iters)
-        else:
-            u, v, _ = reference_gvf(reference_block_mean(e_img, k), mu=cfg.mu, iters=max(1, cfg.gvf_iters // k**2))
-            fx, fy = reference_upsample(u, k, e_img.shape), reference_upsample(v, k, e_img.shape)
-    peak = float(np.hypot(fx, fy).max())
-    if peak > 0:
-        fx, fy = fx / peak, fy / peak
-    return fx, fy
+    """`reference_force` rescaled by its max |F| over every pixel of the image."""
+    force = reference_force(gray, cfg, k)
+    return divided(force, float(reference_pixel_magnitude(force).max()))
+
+
+def assert_equals_reference(got, gray, cfg):
+    """`got` is `reference_prepare_fields`' force, bit for bit: `reference_force`
+    divided by its full-pixel peak. Above k = 1 the peak shortcut may round
+    up to 2 ulp apart from that peak, so there any peak that close will do."""
+    force = reference_force(gray, cfg)
+    full = float(reference_pixel_magnitude(force).max())
+    peaks = [full]
+    for toward in ([np.inf, -np.inf] if force.k > 1 else []):
+        peak = full
+        for _ in range(2):
+            peak = float(np.nextafter(peak, toward))
+            peaks.append(peak)
+    assert (got.k, got.shape) == (force.k, force.shape)
+    assert any(
+        got.u.tobytes() == ref.u.tobytes() and got.v.tobytes() == ref.v.tobytes()
+        for ref in (divided(force, peak) for peak in peaks)
+    )
 
 
 @pytest.mark.parametrize("mode", ["basic", "gvf"])
@@ -424,10 +508,7 @@ def test_prepare_fields_equals_reference(mode, case, monkeypatch):
         return solved_fields[-1]
 
     monkeypatch.setattr(snake_module, "compute_gvf", capturing)
-    got_x, got_y = prepare_fields(gray, cfg)
-    fx, fy = reference_prepare_fields(gray, cfg)
-    assert got_x.tobytes() == fx.tobytes()
-    assert got_y.tobytes() == fy.tobytes()
+    assert_equals_reference(prepare_fields(gray, cfg), gray, cfg)
     assert len(solved_fields) == (mode == "gvf")
     if mode == "gvf":
         # The rescale leaves the solved field itself untouched.
@@ -442,10 +523,7 @@ def test_prepare_fields_equals_reference(mode, case, monkeypatch):
 def test_prepare_fields_equals_reference_at_strip_seams(shape, case, mode):
     gray = seam_image(shape, case)
     cfg = SnakeConfig(mode=mode, sigma=2.0, gvf_iters=3)
-    got_x, got_y = prepare_fields(gray, cfg)
-    fx, fy = reference_prepare_fields(gray, cfg)
-    assert got_x.tobytes() == fx.tobytes()
-    assert got_y.tobytes() == fy.tobytes()
+    assert_equals_reference(prepare_fields(gray, cfg), gray, cfg)
 
 
 # At sigma = 10 (k = 4): sizes divisible by 4, sizes that are not (one to
@@ -470,11 +548,9 @@ def test_prepare_fields_equals_reference_on_the_coarse_grid(shape, mode, monkeyp
         return compute_gvf(e_img, **kwargs)
 
     monkeypatch.setattr(snake_module, "compute_gvf", capturing)
-    got_x, got_y = prepare_fields(gray, cfg)
-    fx, fy = reference_prepare_fields(gray, cfg)
+    got = prepare_fields(gray, cfg)
     assert solved_shapes == [((-(-shape[0] // k), -(-shape[1] // k)), max(1, cfg.gvf_iters // k**2))]
-    assert got_x.tobytes() == fx.tobytes()
-    assert got_y.tobytes() == fy.tobytes()
+    assert_equals_reference(got, gray, cfg)
 
 
 @pytest.mark.parametrize("sigma", [2.0, 10.0])
@@ -483,8 +559,11 @@ def test_prepare_fields_returns_c_contiguous_pairs(mode, sigma):
     # sample_force flattens each component; a non-contiguous one would be
     # copied whole on every call.
     gray = seam_image((61, 83), "random")
-    for component in prepare_fields(gray, SnakeConfig(mode=mode, sigma=sigma)):
-        assert component.shape == (61, 83)
+    force = prepare_fields(gray, SnakeConfig(mode=mode, sigma=sigma))
+    k = 1 if mode == "basic" else reference_gvf_scale(gray.shape, sigma)
+    assert (force.k, force.shape) == (k, (61, 83))
+    for component in (force.u, force.v):
+        assert component.shape == (-(-61 // k), -(-83 // k))
         assert component.flags.c_contiguous
 
 
@@ -496,12 +575,13 @@ def test_basic_prepare_fields_peak_memory_is_three_arrays_and_strips():
 
 
 @pytest.mark.parametrize("mode", ["gvf", "proposed"])
-def test_gvf_prepare_fields_peak_memory_is_four_arrays(mode):
-    # The energy's three arrays and its strips; then, with the energy freed,
-    # the upsampled u, v's two full-size upsample arrays, or the force pair
-    # and its magnitude. The coarse solve is 1/16 of the image.
+def test_gvf_prepare_fields_peak_memory_is_under_two_arrays(mode):
+    # Nothing image-sized: one band of H / 4 rows for the block mean, then
+    # the energy, the GVF and its copies on the 1/16 grid, and one strip of
+    # sampled pixels for the peak. The strip's fixed size weighs most at
+    # this small image (about 1.5 arrays); at 1024^2 the peak is 0.6 arrays.
     gray = seam_image(MEM_SHAPE, "random")
-    assert traced_peak(prepare_fields, gray, SnakeConfig(mode=mode)) <= 4.0 * ARRAY_BYTES
+    assert traced_peak(prepare_fields, gray, SnakeConfig(mode=mode)) <= 2.0 * ARRAY_BYTES
 
 
 # ---------------------------------------------------------------------------
