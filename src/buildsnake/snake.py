@@ -249,7 +249,9 @@ def sample_force(force: ForceField, points: np.ndarray) -> np.ndarray:
     # Adding (1 - k) / 2 turns a -0.0 point into +0.0, so no weight is -0.0.
     c = (pts + (1 - force.k) / 2) / force.k
     corner = c.astype(np.intp)  # truncation is floor for c >= 0; the bounds catch the rest
-    np.minimum(corner, (w - 2, h - 2), out=corner)
+    # Scalar bounds per axis: a length-2 bound array makes numpy loop in pairs.
+    np.minimum(corner[:, 0], w - 2, out=corner[:, 0])
+    np.minimum(corner[:, 1], h - 2, out=corner[:, 1])
     np.maximum(corner, 0, out=corner)
     # With the corner on the grid, a weight clamped to [0, 1] is c clamped to the grid.
     t = c - corner
@@ -399,6 +401,16 @@ def shape_force(
     return force
 
 
+def _clip_to_image(pts: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Clip the (N, 2) contour `pts` in place to [0, w - 1] x [0, h - 1],
+    the bits of np.clip(pts, 0, (w - 1, h - 1)) without its Python wrapper
+    and its pairwise bound loop."""
+    np.maximum(pts, 0.0, out=pts)
+    np.minimum(pts[:, 0], w - 1, out=pts[:, 0])
+    np.minimum(pts[:, 1], h - 1, out=pts[:, 1])
+    return pts
+
+
 def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarray:
     """Evolve a snake from the projected boundary until convergence.
 
@@ -415,8 +427,7 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
         raise ValueError("initial boundary needs at least 3 points")
     h, w = force.shape
     n = max(32, int(round(polygon_perimeter(boundary) / 2.0)))
-    bounds = (w - 1, h - 1)
-    pts = np.clip(resample_closed(boundary, n), 0, bounds)
+    pts = _clip_to_image(resample_closed(boundary, n), w, h)
     # Shape reference: the boundary polygon densified by the same resampling,
     # so the Hausdorff term is not dominated by gaps between hull vertices.
     shape_ref = pts.copy()
@@ -426,7 +437,7 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
         f = sample_force(force, pts)
         if cfg.mode == "proposed":
             f += shape_force(pts, shape_ref, cfg.delta, cfg.shape_weight)
-        new = np.clip(evolve_step(pts, f, cfg, inv_system=inv_system), 0, bounds)
+        new = _clip_to_image(evolve_step(pts, f, cfg, inv_system=inv_system), w, h)
         # sqrt is monotone, so this is the largest point displacement exactly.
         step = new - pts
         step *= step
@@ -435,5 +446,5 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
         if disp < cfg.epsilon:
             break
         if it % cfg.resample_every == 0:
-            pts = np.clip(resample_closed(pts, n), 0, bounds)
+            pts = _clip_to_image(resample_closed(pts, n), w, h)
     return pts
