@@ -55,7 +55,7 @@ class SnakeConfig:
     beta: float = 0.01        # rigidity weight
     gamma: float = 1.0        # implicit step weight
     max_iters: int = 400
-    epsilon: float = 0.01     # px convergence threshold
+    epsilon: float = 0.01     # largest normal displacement (px) below which a snake stops
     resample_every: int = 10
     w_line: float = 0.04
     w_edge: float = 2.0

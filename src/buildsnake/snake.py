@@ -12,7 +12,6 @@ closed form needs no BLAS call and gives the same bits on any thread count.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,7 +411,7 @@ def _clip_to_image(pts: np.ndarray, w: int, h: int) -> np.ndarray:
 
 
 def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarray:
-    """Evolve a snake from the projected boundary until convergence.
+    """Evolve a snake from the projected boundary until it settles.
 
     `init` is the (M, 2) pixel array of the boundary; it provides both the
     initial contour and the shape-similarity reference in proposed mode.
@@ -421,6 +420,16 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
     periodic resample are clipped to [0, W - 1] x [0, H - 1], so every point
     that `sample_force` sees lies in the image. Returns the final closed contour
     as (N, 2) pixels.
+
+    The snake stops after the first step whose largest normal displacement
+    is below `cfg.epsilon`, or after `cfg.max_iters` steps. A point's normal
+    displacement is |mv x t| / |t|, where mv is its move in the step and t
+    the central difference of its neighbours on the new contour. Sliding
+    along the contour does not count: the snake energy does not depend on
+    where the points sit along it. The test is made as (mv x t)^2 <=
+    epsilon^2 |t|^2, with no divide. A point whose neighbours coincide
+    (t = 0) has no normal and counts as settled, so a snake collapsed onto
+    one point stops there instead of resampling a contour of zero length.
     """
     boundary = np.asarray(init, dtype=float)
     if len(boundary) < 3:
@@ -432,18 +441,23 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
     # so the Hausdorff term is not dominated by gaps between hull vertices.
     shape_ref = pts.copy()
     inv_system = system_inverse(n, cfg.alpha, cfg.beta, cfg.gamma)
+    # new[wrap] is the new contour with its last point before it and its first after.
+    wrap = np.arange(-1, n + 1) % n
+    eps2 = cfg.epsilon * cfg.epsilon
 
     for it in range(1, cfg.max_iters + 1):
         f = sample_force(force, pts)
         if cfg.mode == "proposed":
             f += shape_force(pts, shape_ref, cfg.delta, cfg.shape_weight)
         new = _clip_to_image(evolve_step(pts, f, cfg, inv_system=inv_system), w, h)
-        # sqrt is monotone, so this is the largest point displacement exactly.
-        step = new - pts
-        step *= step
-        disp = math.sqrt((step[:, 0] + step[:, 1]).max())
+        mv = new - pts
+        ring = new[wrap]
+        t = ring[2:] - ring[:-2]
+        cross = mv[:, 0] * t[:, 1] - mv[:, 1] * t[:, 0]
+        t *= t
+        settled = (cross * cross <= eps2 * (t[:, 0] + t[:, 1])).all()
         pts = new
-        if disp < cfg.epsilon:
+        if settled:
             break
         if it % cfg.resample_every == 0:
             pts = _clip_to_image(resample_closed(pts, n), w, h)

@@ -318,11 +318,20 @@ def test_extract_calls_stages_through_cli_globals(small_scene_dir, tmp_path, mon
     assert calls == {"prepare_fields": 1, "run_snake": 2, "building_mbr": 2, "fit_rectilinear": 2}
 
 
-def test_extract_degenerate_snake_falls_back_to_boundary_mbr(tmp_path, capsys, monkeypatch):
-    # Preset seed 11, proposed mode: building 6's snake collapses, so the
-    # run keeps going with that building's LiDAR boundary MBR.
-    (tmp_path / "spec.json").write_text(json.dumps(quebec_like_spec(seed=11).to_dict()), encoding="utf-8")
-    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--outdir", str(tmp_path)]) == 0
+def test_extract_degenerate_snake_falls_back_to_boundary_mbr(small_scene_dir, tmp_path, capsys, monkeypatch):
+    # The second building's snake is flattened onto one line, a contour with
+    # no area that fit_rectilinear rejects, so the run keeps going with that
+    # building's LiDAR boundary MBR.
+    run = cli.run_snake
+    snakes = []
+
+    def collapsing(*args, **kwargs):
+        contour = run(*args, **kwargs)
+        if len(snakes) == 1:
+            contour[:, 1] = contour[0, 1]
+        snakes.append(contour)
+        return contour
+
     extract = cli.extract_buildings
     extracted = []
 
@@ -331,28 +340,29 @@ def test_extract_degenerate_snake_falls_back_to_boundary_mbr(tmp_path, capsys, m
         extracted.extend(results)
         return results
 
+    monkeypatch.setattr(cli, "run_snake", collapsing)
     monkeypatch.setattr(cli, "extract_buildings", recording)
     out = tmp_path / "out"
     rc = main(
         [
             "extract",
-            "--image", str(tmp_path / "scene.pgm"),
-            "--cloud", str(tmp_path / "cloud.xyz"),
-            "--transform", str(tmp_path / "transform.txt"),
+            "--image", str(small_scene_dir / "scene.pgm"),
+            "--cloud", str(small_scene_dir / "cloud.xyz"),
+            "--transform", str(small_scene_dir / "transform.txt"),
             "--outdir", str(out),
             "--mode", "proposed",
         ]
     )
     assert rc == 0
-    assert "building 6: snake degenerate" in capsys.readouterr().err
+    assert len(snakes) == len(extracted) == 2
+    flat = extracted[1]
+    assert flat.snake is snakes[1]
+    assert f"building {flat.building_id}: snake degenerate" in capsys.readouterr().err
     buildings = json.loads((out / "buildings.json").read_text())
-    k = [b["id"] for b in buildings].index(6)
-    assert buildings[k]["shape_level"] == "rectangle"
-    b6 = extracted[k]
-    assert b6.building_id == 6
-    mbr = building_mbr(b6.init_pixels).corners()
-    assert np.array_equal(b6.footprint, mbr)
-    assert (out / "footprints.wkt").read_text().splitlines()[k] == polygon_to_wkt(mbr)
+    assert [b["shape_level"] for b in buildings] == [extracted[0].shape_level, "rectangle"]
+    mbr = building_mbr(flat.init_pixels).corners()
+    assert np.array_equal(flat.footprint, mbr)
+    assert (out / "footprints.wkt").read_text().splitlines()[1] == polygon_to_wkt(mbr)
 
 
 def test_extract_debug_and_svg_outputs(small_scene_dir, tmp_path):

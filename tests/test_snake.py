@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
+from buildsnake import cli
 from buildsnake import snake as snake_module
 from buildsnake.cli import extract_buildings
 from buildsnake.config import SnakeConfig
@@ -782,6 +784,95 @@ def test_run_snake_point_count_rule(rect_scene):
     snake = run_snake(truth, prepare_fields(img, cfg), cfg)
     expected = max(32, round(polygon_perimeter(truth) / 2.0))
     assert len(snake) == expected
+
+
+def counting_sample_force(monkeypatch):
+    """Patch snake.sample_force to count its calls, one per snake iteration."""
+    calls = []
+    sample = snake_module.sample_force
+
+    def counting(*args):
+        calls.append(None)
+        return sample(*args)
+
+    monkeypatch.setattr(snake_module, "sample_force", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["basic", "gvf", "proposed"])
+def test_run_snake_stops_before_max_iters(rect_scene, mode, monkeypatch):
+    _, truth, img = rect_scene
+    cfg = SnakeConfig(mode=mode)
+    calls = counting_sample_force(monkeypatch)
+    run_snake(truth + np.array([3.0, 0.0]), prepare_fields(img, cfg), cfg)
+    assert 0 < len(calls) < cfg.max_iters
+
+
+@pytest.mark.parametrize("mode", ["basic", "gvf", "proposed"])
+def test_stopped_snake_is_the_same_under_a_higher_cap(rect_scene, mode):
+    _, truth, img = rect_scene
+    cfg = SnakeConfig(mode=mode)
+    force = prepare_fields(img, cfg)
+    init = truth + np.array([3.0, 0.0])
+    capped = run_snake(init, force, cfg)
+    uncapped = run_snake(init, force, dataclasses.replace(cfg, max_iters=2000))
+    assert capped.tobytes() == uncapped.tobytes()
+
+
+def test_a_snake_that_only_slides_stops_at_once(monkeypatch):
+    # u, v = omega * (-(y - 32), x - 32) turns the circle about its centre.
+    # It is linear, so bilinear sampling is exact, and with no internal
+    # force each step turns every point by omega and scales the circle by
+    # sqrt(1 + omega^2): a 0.2 px slide along the contour, and a normal move
+    # of about omega^2 r = 0.002 px. The largest point displacement never
+    # falls below epsilon, so a stop on it would run to max_iters.
+    omega, r = 0.01, 20.0
+    ys, xs = np.mgrid[0:64, 0:64].astype(float)
+    force = ForceField(-omega * (ys - 32.0), omega * (xs - 32.0), 1, (64, 64))
+    cfg = SnakeConfig(mode="basic", alpha=0.0, beta=0.0, epsilon=0.01)
+    init = circle(63, r)
+    calls = counting_sample_force(monkeypatch)
+    snake = run_snake(init, force, cfg)
+    assert len(calls) == 1
+    assert np.hypot(*(snake - init).T).min() > 10 * cfg.epsilon
+    # Without the stop, the slide goes on at the same speed for every step.
+    slid = run_snake(init, force, dataclasses.replace(cfg, epsilon=1e-9, max_iters=50, resample_every=100))
+    assert len(calls) == 51
+    turn = ((slid - 32.0) @ [1, 1j]) / ((init - 32.0) @ [1, 1j])
+    assert np.allclose(np.angle(turn), 50 * np.arctan(omega))
+
+
+def test_a_snake_collapsed_onto_one_point_stops(monkeypatch):
+    # A force of (-20, -20) everywhere pushes the whole square past the
+    # image corner in one step, so every point is clipped to (0, 0).
+    # Coincident neighbours give t = 0, no normal, and the snake stops there
+    # rather than resampling a contour of zero perimeter, which raises.
+    force = ForceField(np.full((32, 32), -20.0), np.full((32, 32), -20.0), 1, (32, 32))
+    cfg = SnakeConfig(mode="basic", alpha=0.0, beta=0.0, resample_every=1)
+    calls = counting_sample_force(monkeypatch)
+    snake = run_snake(np.array([[2.0, 2.0], [10.0, 2.0], [10.0, 10.0], [2.0, 10.0]]), force, cfg)
+    assert len(calls) == 1
+    assert not snake.any()
+
+
+@pytest.mark.parametrize("mode", ["basic", "gvf", "proposed"])
+def test_preset_snakes_stop_early(quebec_scene, mode, monkeypatch):
+    _, img, cloud, _, t = quebec_scene
+    calls = counting_sample_force(monkeypatch)
+    run = cli.run_snake
+    iters = []
+
+    def counting_run(*args):
+        before = len(calls)
+        contour = run(*args)
+        iters.append(len(calls) - before)
+        return contour
+
+    monkeypatch.setattr(cli, "run_snake", counting_run)
+    cfg = SnakeConfig(mode=mode)
+    extract_buildings(img, cloud, t, cfg)
+    assert len(iters) == 5
+    assert min(iters) < cfg.max_iters
 
 
 def test_basic_below_proposed_on_low_contrast_building(mode_results, quebec_scene):
