@@ -422,7 +422,7 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
     as (N, 2) pixels.
 
     The snake stops after the first step whose largest normal displacement
-    is below `cfg.epsilon`, or after `cfg.max_iters` steps. A point's normal
+    is at most `cfg.epsilon`, or after `cfg.max_iters` steps. A point's normal
     displacement is |mv x t| / |t|, where mv is its move in the step and t
     the central difference of its neighbours on the new contour. Sliding
     along the contour does not count: the snake energy does not depend on
