@@ -30,6 +30,7 @@ __all__ = [
     "evolve_step",
     "sample_force",
     "shape_sim_energy",
+    "ShapeReference",
     "shape_force",
     "run_snake",
 ]
@@ -270,10 +271,15 @@ def sample_force(force: ForceField, points: np.ndarray) -> np.ndarray:
 
 def shape_sim_energy(snake: np.ndarray, boundary: np.ndarray, delta: float) -> float:
     """Shape dissimilarity 1 - exp(-d_H^2 / delta), in [0, 1)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_positive_finite("delta", delta)
     d = hausdorff_distance(snake, boundary)
     return float(1.0 - np.exp(-(d * d) / delta))
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    """ValueError unless 0 < value < inf; NaN fails both comparisons."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _square_up(t):
@@ -284,14 +290,44 @@ def _square_up(t):
     return t * t * (1.0 + 1e-12)
 
 
+@dataclass(frozen=True)
+class ShapeReference:
+    """The shape-similarity reference of one snake of n points, as
+    `shape_force` uses it: the (M, 2) reference `points`, checked finite
+    once, their coordinates again as contiguous rows `xs` and `ys`, their
+    largest absolute coordinate `extent`, and two (n, M) float buffers `q`
+    and `dy` that every call overwrites. So it holds 2 n M floats for as
+    long as it lives; `run_snake` builds one per snake."""
+
+    points: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    extent: float
+    q: np.ndarray
+    dy: np.ndarray
+
+    @classmethod
+    def build(cls, boundary: np.ndarray, n: int) -> "ShapeReference":
+        b = np.ascontiguousarray(boundary, dtype=float)
+        if n < 1 or len(b) == 0:
+            raise ValueError("snake and boundary must be non-empty")
+        if not np.isfinite(b).all():
+            raise ValueError("snake and boundary must be finite")
+        xs, ys = b.T.copy()
+        return cls(b, xs, ys, float(np.abs(b).max()), np.empty((n, len(b))), np.empty((n, len(b))))
+
+
 def shape_force(
     snake: np.ndarray,
-    boundary: np.ndarray,
+    boundary: np.ndarray | ShapeReference,
     delta: float,
     weight: float = SnakeConfig.shape_weight,
     step: float = 1.0,
 ) -> np.ndarray:
     """Central finite-difference force of the shape-similarity energy.
+
+    `boundary` is a `ShapeReference` built for the snake's length, or an
+    (M, 2) array, which is wrapped in a new one for this call only.
 
     Each snake point i is moved by +-step along x and along y, and the
     Hausdorff distance to the boundary is taken for each of the four moved
@@ -323,40 +359,53 @@ def shape_force(
 
     Only minima of the squared distances q = dx * dx + dy * dy are rooted:
     sqrt is monotone and correctly rounded, so the root of a minimum is the
-    minimum of the roots. Where rows tie on a rooted column minimum but not
-    on q, colarg may pick another of them than an argmin on d would; colmin2
-    then equals colmin, so the column minima with row i removed are the same.
-    Each test d <= t is made as q <= `_square_up(t)`, a bound squared from
-    above, so it admits a superset of the pairs and rows the test on d admits.
+    minimum of the roots. With colq = q.min(axis=0) and colmin its root,
+    column j's minimum with row i removed is colmin[j] where q[i, j] >
+    colq[j]. Where q[i, j] == colq[j], it is colmin2[j], the root of the
+    smallest entry left once the first row r attaining colq[j] is taken out.
+    If row i ties with r, both that and the minimum over the other rows are
+    colmin[j]; if row i is the unique argmin, r is i, and both are the second
+    minimum. So no argmin over the full matrix is needed: colmin2 is taken
+    only on the columns that some active row attains. Each test d <= t is
+    made as q <= `_square_up(t)`, a bound squared from above, so it admits a
+    superset of the pairs and rows the test on d admits.
+
+    q is built in the reference's two (n, M) buffers, which a prepared
+    reference holds, 2 n M floats, for the life of its snake. A call on it
+    allocates only arrays over the active rows and their pairs.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    a = np.asarray(snake, dtype=float)
-    b = np.asarray(boundary, dtype=float)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("snake and boundary must be non-empty")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    _check_positive_finite("delta", delta)
+    _check_positive_finite("step", step)
+    a = np.ascontiguousarray(snake, dtype=float)
+    ref = boundary if isinstance(boundary, ShapeReference) else ShapeReference.build(boundary, len(a))
+    b, q, dy = ref.points, ref.q, ref.dy
+    n, m = q.shape
+    if len(a) != n:
+        raise ValueError(f"snake has {len(a)} points, but its shape reference was built for {n}")
+    if not np.isfinite(a).all():
         raise ValueError("snake and boundary must be finite")
-    n, m = len(a), len(b)
-    # q = dx * dx + dy * dy, built in place to skip n x m temporaries.
-    q = np.subtract.outer(a[:, 0], b[:, 0])
+    # q = dx * dx + dy * dy, built in the reference's buffers. Each snake
+    # coordinate is copied across its row first: a ufunc with one operand
+    # broadcast down the rows runs faster than one with both broadcast.
+    np.copyto(q, a[:, 0:1])
+    q -= ref.xs
     q *= q
-    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    np.copyto(dy, a[:, 1:2])
+    dy -= ref.ys
     dy *= dy
     q += dy
 
     rowmin = np.sqrt(q.min(axis=1))
-    colarg = q.argmin(axis=0)
-    colmin = np.sqrt(q[colarg, np.arange(m)])
+    colq = q.min(axis=0)
+    colmin = np.sqrt(colq)
     hd = max(rowmin.max(), colmin.max())
     # Distances round off by ~1e-16 of the coordinate scale; the slack is ample.
-    reach = step + 1e-9 * (1.0 + step + max(np.abs(a).max(), np.abs(b).max()))
+    reach = step + 1e-9 * (1.0 + step + max(np.abs(a).max(), ref.extent))
     # The rows whose moves can change hd; every other row's force is an exact zero.
     active = rowmin >= hd - reach
+    colcap = _square_up(colmin + reach)
     top = np.flatnonzero(colmin >= hd - reach)
-    active |= (q[:, top] <= _square_up(colmin[top] + reach)).any(axis=1)
+    active |= (q[:, top] <= colcap[top]).any(axis=1)
     rows = np.flatnonzero(active)
 
     i1 = int(np.argmax(rowmin))
@@ -366,37 +415,37 @@ def shape_force(
     excl_rowmax = np.where(rows == i1, second, rowmin[i1])
 
     qr = q[rows]
-    near = (qr <= _square_up(rowmin[rows] + 2.0 * reach)[:, None]) | (qr <= _square_up(colmin + reach))
+    near = (qr <= _square_up(rowmin[rows] + 2.0 * reach)[:, None]) | (qr <= colcap)
     # Largest column minimum among the columns row i's move cannot lower.
     outside = np.where(near, -np.inf, colmin).max(axis=1)
-    # Second-smallest entry of each column, needed only where colarg[j] moves.
-    held = np.flatnonzero(active[colarg])
+    attains = qr == colq
+    held = np.flatnonzero(attains.any(axis=0))
     rest = q[:, held]
-    rest[colarg[held], np.arange(len(held))] = np.inf
+    rest[rest.argmin(axis=0), np.arange(len(held))] = np.inf
     colmin2 = colmin.copy()
     colmin2[held] = np.sqrt(rest.min(axis=0))
+    # Column minima as seen with row i removed, at each near pair in row order.
+    excl_colmin = np.where(attains, colmin2, colmin)[near]
 
     # Each row keeps at least its own minimum, so every reduceat run is non-empty.
     k, jj = np.divmod(np.flatnonzero(near), m)
     starts = np.searchsorted(k, np.arange(len(rows)))
-    ii = rows[k]
-    # Column minima as seen with row i removed.
-    excl_colmin = np.where(colarg[jj] == ii, colmin2[jj], colmin[jj])
 
-    offsets = np.array([[step, 0.0], [-step, 0.0], [0.0, step], [0.0, -step]])
-    px = a[ii, 0] + offsets[:, 0:1]  # (4, pairs)
-    py = a[ii, 1] + offsets[:, 1:2]
-    ndx = px - b[jj, 0]
-    ndy = py - b[jj, 1]
-    newrows = np.sqrt(ndx * ndx + ndy * ndy)
+    # Points as complex x + iy: the four moves are one add, componentwise, so
+    # each moved coordinate and difference has the bits of the real ones.
+    offsets = np.array([[step, 0.0], [-step, 0.0], [0.0, step], [0.0, -step]]).view(complex)
+    dd = a.view(complex)[rows[k], 0] + offsets - b.view(complex)[jj, 0]  # (4, pairs)
+    dd = dd.view(float)
+    dd *= dd
+    newrows = np.sqrt(dd[:, 0::2] + dd[:, 1::2])  # (4, pairs)
 
     d_ab = np.maximum(excl_rowmax, np.minimum.reduceat(newrows, starts, axis=1))
     d_ba = np.maximum(outside, np.maximum.reduceat(np.minimum(excl_colmin, newrows), starts, axis=1))
     dh = np.maximum(d_ab, d_ba)
     e = 1.0 - np.exp(-(dh * dh) / delta)
     force = np.full((n, 2), -weight * 0.0 / (2.0 * step), dtype=float)
-    force[rows, 0] = -weight * (e[0] - e[1]) / (2.0 * step)
-    force[rows, 1] = -weight * (e[2] - e[3]) / (2.0 * step)
+    # Rows 0 and 1 of e are the +-x moves, rows 2 and 3 the +-y moves.
+    force[rows] = (-weight * (e[0::2] - e[1::2]) / (2.0 * step)).T
     return force
 
 
@@ -430,6 +479,11 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
     epsilon^2 |t|^2, with no divide. A point whose neighbours coincide
     (t = 0) has no normal and counts as settled, so a snake collapsed onto
     one point stops there instead of resampling a contour of zero length.
+
+    In proposed mode the snake holds one `ShapeReference` to the initial
+    resampled contour, built once next to the system inverse, and each
+    iteration calls the module's `shape_force` once with it. Its two n x n
+    buffers are the snake's only n x n arrays besides the system inverse.
     """
     boundary = np.asarray(init, dtype=float)
     if len(boundary) < 3:
@@ -439,7 +493,7 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
     pts = _clip_to_image(resample_closed(boundary, n), w, h)
     # Shape reference: the boundary polygon densified by the same resampling,
     # so the Hausdorff term is not dominated by gaps between hull vertices.
-    shape_ref = pts.copy()
+    shape_ref = ShapeReference.build(pts.copy(), n) if cfg.mode == "proposed" else None
     inv_system = system_inverse(n, cfg.alpha, cfg.beta, cfg.gamma)
     # new[wrap] is the new contour with its last point before it and its first after.
     wrap = np.arange(-1, n + 1) % n

@@ -21,6 +21,7 @@ from buildsnake.snake import (
     resample_closed,
     run_snake,
     sample_force,
+    ShapeReference,
     shape_force,
     shape_sim_energy,
     system_inverse,
@@ -64,6 +65,13 @@ def test_shape_sim_monotone_and_bounded():
         assert e > prev or (e == prev == 0.0)
         prev = e
     assert prev > 0.999  # large distances saturate toward 1
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+def test_shape_sim_energy_rejects_nonpositive_or_nonfinite_delta(delta):
+    sq = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        shape_sim_energy(sq + 1.0, sq, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +208,12 @@ def _oracle_cases(rng):
     spike[5] += [60.0, -40.0]
     yield "far-spike", noisy, spike
     yield "around-1e4", noisy + 1e4, ref + 1e4 + rng.normal(0, 0.5, ref.shape)
+    # Column 0's first argmin row, row 0, is inactive: it is far from the
+    # spike (27, 0) that gives hd = 27. Row 1 is active, since it attains
+    # the spike's column, and ties row 0 at column 0's minimum, 22. At step
+    # 3, row 1's +x move takes it to 25 from column 0 and to 24 from the
+    # spike, so the moved distance is 24 only if column 0 keeps row 0's 22.
+    yield "tie-inactive-argmin", np.array([[-22.0, 22.0], [0.0, 0.0]]), np.array([[-22.0, 0.0], [27.0, 0.0]])
 
 
 @pytest.mark.parametrize("step", [0.25, 1.0, 3.0])
@@ -239,7 +253,7 @@ def test_shape_force_equals_dense_oracle_on_preset_contours(monkeypatch):
 
     def recording(snake, boundary, delta, weight=1.0, step=1.0):
         force = shape_force(snake, boundary, delta, weight, step)
-        calls.append((snake.copy(), boundary.copy(), delta, weight, step, force.tobytes()))
+        calls.append((snake.copy(), boundary.points.copy(), delta, weight, step, force.tobytes()))
         return force
 
     monkeypatch.setattr(snake_module, "shape_force", recording)
@@ -251,12 +265,42 @@ def test_shape_force_equals_dense_oracle_on_preset_contours(monkeypatch):
         assert got == dense_shape_force(*args).tobytes()
 
 
-@pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": -1.0}, {"step": 0.0}, {"step": -1.0}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"delta": 0.0}, {"delta": -1.0}, {"step": 0.0}, {"step": -1.0},
+        {"delta": np.nan}, {"delta": np.inf}, {"step": np.nan}, {"step": np.inf},
+    ],
+)
 def test_shape_force_rejects_nonpositive_delta_and_step(kwargs):
     ref = circle(16)
     args = {"delta": 50.0, **kwargs}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be positive and finite"):
         shape_force(ref + 1.0, ref, **args)
+
+
+def test_shape_reference_rejects_a_snake_of_another_length():
+    ref = circle(16)
+    prepared = ShapeReference.build(ref, 16)
+    for n in (15, 17):
+        with pytest.raises(ValueError, match=f"snake has {n} points, but its shape reference was built for 16"):
+            shape_force(circle(n), prepared, 50.0)
+
+
+def test_shape_force_on_a_prepared_reference_allocates_under_one_distance_matrix():
+    # The (n, m) distance buffers live in the reference, so a call allocates
+    # only per-row and per-pair arrays. The snake's one bump leaves a few rows
+    # active, as on a converging snake. An array reference builds fresh
+    # buffers, two (n, m) arrays, on every call.
+    n = 200
+    ref = circle(n, r=60.0, center=(100.0, 100.0))
+    snake = ref + np.random.default_rng(0).normal(0, 0.5, ref.shape)
+    snake[50] += [0.0, 5.0]
+    prepared = ShapeReference.build(ref, n)
+    first = shape_force(snake, prepared, 50.0)
+    assert traced_peak(shape_force, snake, prepared, 50.0) < n * n * 8
+    assert traced_peak(shape_force, snake, ref, 50.0) >= 2 * n * n * 8
+    assert shape_force(snake, prepared, 50.0).tobytes() == first.tobytes() == shape_force(snake, ref, 50.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
