@@ -41,15 +41,27 @@ def building_mbr(init: np.ndarray) -> OrientedRect:
 
 
 def _largest_rectangle(mask: np.ndarray) -> tuple[int, int, int, int, int]:
-    """Largest all-true axis-aligned rectangle: (area, r0, r1, c0, c1) half-open."""
-    h, w = mask.shape
-    heights = np.zeros(w, dtype=int)
+    """Largest all-true axis-aligned rectangle: (area, r0, r1, c0, c1) half-open.
+
+    Of the rectangles of the largest area, the one with the smallest r1 wins,
+    then the smallest c1, then the largest c0; (0, 0, 0, 0, 0) if no cell is
+    true. That is the first one the row-by-row histogram stack pops.
+
+    The column heights of every row (how many true cells end there) are
+    built at once. The stack then runs over each row's runs of true cells
+    only: a zero height empties it, so a run starts on an empty stack and its
+    first false cell closes it as the zero sentinel would.
+    """
+    heights = np.cumsum(mask, axis=0, dtype=np.int32)
+    below = np.where(mask, 0, heights)  # true cells counted up to each column's last false one
+    np.maximum.accumulate(below, axis=0, out=below)
+    heights -= below
+    # Each run of true cells [a, b) of row r starts and ends on a change along the row.
+    rows, cols = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
     best = (0, 0, 0, 0, 0)
-    for r in range(h):
-        heights = (heights + 1) * mask[r]
+    for r, a, b in zip(rows[0::2].tolist(), cols[0::2].tolist(), cols[1::2].tolist()):
         stack: list[tuple[int, int]] = []
-        for c in range(w + 1):
-            cur = int(heights[c]) if c < w else 0
+        for c, cur in enumerate(heights[r, a:b].tolist() + [0], a):
             start = c
             while stack and stack[-1][1] >= cur:
                 sc, sh = stack.pop()

@@ -19,7 +19,7 @@ import numpy as np
 from .config import SnakeConfig
 from .energy import compute_gvf, edge_force, image_energy
 from .geometry import hausdorff_distance, polygon_perimeter
-from .raster import row_strips
+from .raster import STRIP_ELEMS
 
 __all__ = [
     "ForceField",
@@ -57,10 +57,12 @@ def _peak_lines(n: int, m: int, k: int) -> np.ndarray:
 
 
 def _magnitudes(force: ForceField, ys: np.ndarray, xs: np.ndarray):
-    """|F| as `sample_force` gives it at the pixels ys x xs, one block per
-    `raster.row_strips` strip of ys."""
-    for rows, _, _ in row_strips((len(ys), len(xs)), 0):
-        pts = np.stack(np.broadcast_arrays(xs, ys[rows, None]), axis=-1)
+    """|F| as `sample_force` gives it at the pixels ys x xs, one block of
+    rows of about STRIP_ELEMS / 2 pixels at a time: `sample_force` holds
+    about 20 eight-byte values per point, so a block takes ~1.3 MB."""
+    step = max(1, STRIP_ELEMS // (2 * len(xs)))
+    for r0 in range(0, len(ys), step):
+        pts = np.stack(np.broadcast_arrays(xs, ys[r0 : r0 + step, None]), axis=-1)
         f = sample_force(force, pts.reshape(-1, 2))
         yield np.hypot(f[:, 0], f[:, 1]).reshape(-1, len(xs))
 
@@ -157,20 +159,35 @@ def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ForceField:
 
 
 def resample_closed(points: np.ndarray, n: int) -> np.ndarray:
-    """Resample a closed contour to n points equally spaced by arc length."""
+    """Resample a closed contour to n points equally spaced by arc length.
+
+    Raises ValueError for fewer than 3 points in or out, and for a perimeter
+    that is zero or not finite: a NaN or infinite point makes it so.
+    """
     pts = np.asarray(points, dtype=float)
-    if len(pts) < 3:
-        raise ValueError("contour needs at least 3 points")
-    ring = np.vstack([pts, pts[:1]])
-    seg = np.linalg.norm(np.diff(ring, axis=0), axis=1)
+    if len(pts) < 3 or n < 3:
+        raise ValueError(f"a closed contour needs at least 3 points, got {len(pts)} resampled to {n}")
+    # d[i] runs from point i to the next one, the last to the first.
+    d = np.empty_like(pts)
+    np.subtract(pts[1:], pts[:-1], out=d[:-1])
+    np.subtract(pts[0], pts[-1], out=d[-1])
+    sq = d * d
+    seg = np.sqrt(sq[:, 0] + sq[:, 1])
     total = seg.sum()
-    if total <= 0:
-        raise ValueError("contour has zero perimeter")
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"contour perimeter must be positive and finite, got {total!r}")
+    cum = np.empty(len(seg) + 1)
+    cum[0] = 0.0
+    np.cumsum(seg, out=cum[1:])
     s = np.arange(n) * (total / n)
-    k = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
-    t = (s - cum[k]) / np.where(seg[k] > 0, seg[k], 1.0)
-    return ring[k] + t[:, None] * (ring[k + 1] - ring[k])
+    # s >= 0 = cum[0] keeps k >= 0. The bound keeps k on a segment should the
+    # sequential cumsum end below the pairwise total by more than total / n.
+    k = np.searchsorted(cum, s, side="right")
+    k -= 1
+    np.minimum(k, len(seg) - 1, out=k)
+    seg_k = seg[k]
+    t = (s - cum[k]) / np.where(seg_k > 0, seg_k, 1.0)
+    return pts[k] + t[:, None] * d[k]
 
 
 def _system_row(n: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -236,7 +253,12 @@ def sample_force(force: ForceField, points: np.ndarray) -> np.ndarray:
     A point p samples the grid at c = (p - (k - 1) / 2) / k, clamped to the
     grid, so past the first or last grid centre the field is constant along
     that axis; at k = 1, c = p. Both components share the corner indices and
-    weights, and the corners are gathered from each flattened component.
+    weights. Each component's four corners are gathered from its flattened
+    array with one fancy index over a (4, n) index array, whose rows are the
+    flat offsets 0, 1, w and w + 1 of the corners f00, f01, f10 and f11, and
+    are weighed as rows: by sx, tx, sx, tx, then by sy, sy, ty, ty. The rows
+    are summed in order, so each sample is
+    ((f00 sx sy + f01 tx sy) + f10 sx ty) + f11 tx ty, evaluated left to right.
 
     The flattening is a view only for a C-contiguous component; any other
     is copied whole on every call, which `prepare_fields` avoids by
@@ -246,26 +268,39 @@ def sample_force(force: ForceField, points: np.ndarray) -> np.ndarray:
     h, w = force.u.shape
     if h < 2 or w < 2:
         raise ValueError(f"force field must be at least 2x2, got {h}x{w}")
+    n = len(pts)
+    # weights[0] holds the weights (sx, sy) of the low corners, weights[1]
+    # those (tx, ty) of the high ones, each as x and y rows; c is weights[1].
+    weights = np.empty((2, 2, n))
+    c = weights[1]
     # Adding (1 - k) / 2 turns a -0.0 point into +0.0, so no weight is -0.0.
-    c = (pts + (1 - force.k) / 2) / force.k
+    np.add(pts.T, (1 - force.k) / 2, out=c)
+    c /= force.k
     corner = c.astype(np.intp)  # truncation is floor for c >= 0; the bounds catch the rest
     # Scalar bounds per axis: a length-2 bound array makes numpy loop in pairs.
-    np.minimum(corner[:, 0], w - 2, out=corner[:, 0])
-    np.minimum(corner[:, 1], h - 2, out=corner[:, 1])
+    np.minimum(corner[0], w - 2, out=corner[0])
+    np.minimum(corner[1], h - 2, out=corner[1])
     np.maximum(corner, 0, out=corner)
     # With the corner on the grid, a weight clamped to [0, 1] is c clamped to the grid.
-    t = c - corner
-    np.maximum(t, 0.0, out=t)
-    np.minimum(t, 1.0, out=t)
-    s = 1 - t
-    tx, ty = t[:, 0], t[:, 1]
-    sx, sy = s[:, 0], s[:, 1]
-    i00 = corner[:, 1] * w + corner[:, 0]
-    i01, i10, i11 = i00 + 1, i00 + w, i00 + w + 1
-    out = np.empty((len(pts), 2))
+    c -= corner
+    np.maximum(c, 0.0, out=c)
+    np.minimum(c, 1.0, out=c)
+    np.subtract(1.0, c, out=weights[0])
+    index = (corner[1] * w + corner[0]) + np.array([[0], [1], [w], [w + 1]])
+    wx, wy = weights[:, 0], weights[:, 1, None]
+    out = np.empty((n, 2))
     for col, field in enumerate((force.u, force.v)):
-        flat = field.reshape(-1)
-        out[:, col] = flat[i00] * sx * sy + flat[i01] * tx * sy + flat[i10] * sx * ty + flat[i11] * tx * ty
+        corners = field.reshape(-1)[index]
+        # by_axis[a, b] is the corner a rows down and b columns right: it is
+        # weighed by wx[b], then by wy[a], as in f * sx * sy.
+        by_axis = corners.reshape(2, 2, n)
+        by_axis *= wx
+        by_axis *= wy
+        # Added row by row: np.add.reduce would start from +0.0 and lose a -0.0 sum.
+        total = out[:, col]
+        np.add(corners[0], corners[1], out=total)
+        total += corners[2]
+        total += corners[3]
     return out
 
 
@@ -459,6 +494,23 @@ def _clip_to_image(pts: np.ndarray, w: int, h: int) -> np.ndarray:
     return pts
 
 
+def _settled(old: np.ndarray, new: np.ndarray, eps2: float) -> bool:
+    """The stop test of `run_snake` for a step from the closed contour `old`
+    to `new`: (mv x t)^2 <= eps2 |t|^2 at every point, where mv = new - old
+    and t is the central difference of the point's neighbours on `new`."""
+    mv = new - old
+    # The contour with its last point before it and its first after.
+    ring = np.concatenate((new[-1:], new, new[:1]))
+    t = ring[2:] - ring[:-2]
+    cross = mv[:, 0] * t[:, 1]
+    cross -= mv[:, 1] * t[:, 0]
+    cross *= cross
+    t *= t
+    bound = t[:, 0] + t[:, 1]
+    bound *= eps2
+    return bool((cross <= bound).all())
+
+
 def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarray:
     """Evolve a snake from the projected boundary until it settles.
 
@@ -495,8 +547,6 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
     # so the Hausdorff term is not dominated by gaps between hull vertices.
     shape_ref = ShapeReference.build(pts.copy(), n) if cfg.mode == "proposed" else None
     inv_system = system_inverse(n, cfg.alpha, cfg.beta, cfg.gamma)
-    # new[wrap] is the new contour with its last point before it and its first after.
-    wrap = np.arange(-1, n + 1) % n
     eps2 = cfg.epsilon * cfg.epsilon
 
     for it in range(1, cfg.max_iters + 1):
@@ -504,12 +554,7 @@ def run_snake(init: np.ndarray, force: ForceField, cfg: SnakeConfig) -> np.ndarr
         if cfg.mode == "proposed":
             f += shape_force(pts, shape_ref, cfg.delta, cfg.shape_weight)
         new = _clip_to_image(evolve_step(pts, f, cfg, inv_system=inv_system), w, h)
-        mv = new - pts
-        ring = new[wrap]
-        t = ring[2:] - ring[:-2]
-        cross = mv[:, 0] * t[:, 1] - mv[:, 1] * t[:, 0]
-        t *= t
-        settled = (cross * cross <= eps2 * (t[:, 0] + t[:, 1])).all()
+        settled = _settled(pts, new, eps2)
         pts = new
         if settled:
             break

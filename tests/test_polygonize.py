@@ -432,14 +432,41 @@ def test_notch_level_follows_touched_sides():
 
 
 def largest_rectangle_brute_force(mask):
+    """Every all-true rectangle; of the largest, the docstring's tie rule picks one."""
     h, w = mask.shape
-    best = 0
-    for r0 in range(h):
-        for r1 in range(r0 + 1, h + 1):
-            for c0 in range(w):
-                for c1 in range(c0 + 1, w + 1):
-                    if mask[r0:r1, c0:c1].all():
-                        best = max(best, (r1 - r0) * (c1 - c0))
+    found = [
+        ((r1 - r0) * (c1 - c0), r0, r1, c0, c1)
+        for r0 in range(h)
+        for r1 in range(r0 + 1, h + 1)
+        for c0 in range(w)
+        for c1 in range(c0 + 1, w + 1)
+        if mask[r0:r1, c0:c1].all()
+    ]
+    if not found:
+        return (0, 0, 0, 0, 0)
+    area = max(rect[0] for rect in found)
+    return min((rect for rect in found if rect[0] == area), key=lambda rect: (rect[2], rect[4], -rect[3]))
+
+
+def reference_largest_rectangle(mask):
+    """The per-cell histogram stack: every cell of every row, a zero sentinel closing each row."""
+    h, w = mask.shape
+    heights = np.zeros(w, dtype=int)
+    best = (0, 0, 0, 0, 0)
+    for r in range(h):
+        heights = (heights + 1) * mask[r]
+        stack = []
+        for c in range(w + 1):
+            cur = int(heights[c]) if c < w else 0
+            start = c
+            while stack and stack[-1][1] >= cur:
+                sc, sh = stack.pop()
+                area = sh * (c - sc)
+                if area > best[0]:
+                    best = (area, r - sh + 1, r + 1, sc, c)
+                start = sc
+            if cur > 0 and (not stack or stack[-1][1] < cur):
+                stack.append((start, cur))
     return best
 
 
@@ -457,13 +484,51 @@ def _random_masks():
             yield rng.random(shape) < density
 
 
+def _tied_masks():
+    """Masks whose largest area is reached by several rectangles."""
+    twins = np.zeros((9, 12), dtype=bool)
+    twins[1:4, 1:5] = twins[5:8, 6:10] = True  # two 3 x 4 blocks
+    side_by_side = np.zeros((6, 11), dtype=bool)
+    side_by_side[1:5, 0:4] = side_by_side[1:5, 6:10] = True  # same rows, different columns
+    cross = np.zeros((9, 9), dtype=bool)
+    cross[3:6, :] = cross[:, 3:6] = True  # a 3 x 9 bar each way
+    steps = np.tri(8, 8, dtype=bool)[::-1]  # staircase: a 4 x 5 and a 5 x 4 rectangle
+    checker = (np.add.outer(np.arange(7), np.arange(10)) % 2).astype(bool)  # every true cell a 1 x 1 tie
+    stripes = np.zeros((8, 8), dtype=bool)
+    stripes[:, ::2] = True  # full-height columns
+    return [twins, twins.T, side_by_side, side_by_side.T, cross, steps, steps[::-1, ::-1], checker, stripes, stripes.T]
+
+
+def _frame_masks():
+    """Deficits shaped like a notch around a footprint: a frame of true cells, one cell or more thick."""
+    masks = []
+    for shape, thick in (((12, 16), 1), ((20, 13), 2), ((31, 31), 3), ((9, 40), (1, 4))):
+        mask = np.ones(shape, dtype=bool)
+        ty, tx = thick if isinstance(thick, tuple) else (thick, thick)
+        mask[ty:-ty, tx:-tx] = False
+        masks += [mask, mask[:, :-tx], mask[ty:], mask[ty:, tx:]]  # closed, and open on one or two sides
+    return masks
+
+
 def test_largest_rectangle_matches_brute_force():
-    for mask in _random_masks():
-        area, r0, r1, c0, c1 = _largest_rectangle(mask)
-        assert area == largest_rectangle_brute_force(mask)
+    for mask in list(_random_masks()) + _tied_masks() + _frame_masks()[:8]:
+        area, r0, r1, c0, c1 = best = _largest_rectangle(mask)
+        assert best == largest_rectangle_brute_force(mask)
         if area:
             assert (r1 - r0) * (c1 - c0) == area
             assert mask[r0:r1, c0:c1].all()
+
+
+def test_largest_rectangle_equals_the_per_cell_stack():
+    # Whole tuples, not areas: which of several tied rectangles wins sets the
+    # notch, and so the footprint.
+    rng = np.random.default_rng(11)
+    masks = list(_random_masks()) + _tied_masks() + _frame_masks()
+    for _ in range(600):
+        h, w = rng.integers(1, 40, 2)
+        masks.append(rng.random((h, w)) < rng.uniform(0.05, 0.97))
+    for mask in masks:
+        assert _largest_rectangle(mask) == reference_largest_rectangle(mask)
 
 
 def test_snap_trimmed_mean_matches_scipy_bit_for_bit():

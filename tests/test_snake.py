@@ -15,6 +15,7 @@ from buildsnake.geometry import GridSpec, polygon_perimeter, rasterize_polygon
 from buildsnake.synthetic import generate_scene, quebec_like_spec
 from buildsnake.snake import (
     ForceField,
+    _settled,
     force_magnitude,
     prepare_fields,
     evolve_step,
@@ -360,7 +361,7 @@ def _sample_points(rng, h, w):
 
 
 # (3, 3) is the smallest field `prepare_fields` can give; (2, 2) the smallest `sample_force` takes.
-@pytest.mark.parametrize("values", ["normal", "signed-zeros"])
+@pytest.mark.parametrize("values", ["normal", "signed-zeros", "non-positive"])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (3, 3), (37, 53), (53, 37)])
 def test_sample_force_equals_reference(shape, values):
     h, w = shape
@@ -369,6 +370,10 @@ def test_sample_force_equals_reference(shape, values):
     def field():
         if values == "normal":
             return rng.normal(0.0, 1.0, shape)
+        if values == "non-positive":
+            # On a grid node three of the four terms are -0.0, and so is the
+            # sum where the fourth is: a sum started from +0.0 would lose it.
+            return rng.choice([-0.0, -1.0], shape)
         # Zeros of both signs: at the points (-0.0, 0.0) and (0.0, -0.0) the
         # sign of a zero result shows the sign of the zero weight.
         f = rng.choice([-0.0, 0.0, -1.0, 1.0], shape)
@@ -623,9 +628,9 @@ def test_basic_prepare_fields_peak_memory_is_three_arrays_and_strips():
 @pytest.mark.parametrize("mode", ["gvf", "proposed"])
 def test_gvf_prepare_fields_peak_memory_is_under_two_arrays(mode):
     # Nothing image-sized: one band of H / 4 rows for the block mean, then
-    # the energy, the GVF and its copies on the 1/16 grid, and one strip of
-    # sampled pixels for the peak. The strip's fixed size weighs most at
-    # this small image (about 1.5 arrays); at 1024^2 the peak is 0.6 arrays.
+    # the energy, the GVF and its copies on the 1/16 grid, and one block of
+    # sampled pixels for the peak. The block's fixed size weighs most at
+    # this small image (about 0.9 arrays); at 1024^2 the peak is 0.56 arrays.
     gray = seam_image(MEM_SHAPE, "random")
     assert traced_peak(prepare_fields, gray, SnakeConfig(mode=mode)) <= 2.0 * ARRAY_BYTES
 
@@ -752,6 +757,64 @@ def test_system_inverse_rejects_gamma_lost_next_to_alpha_and_beta_at_every_size(
 # resampling
 
 
+def reference_resample_closed(points, n):
+    """Resampling on the contour closed by a copy of its first point, with
+    np.linalg.norm segment lengths and an np.clip segment index."""
+    pts = np.asarray(points, dtype=float)
+    ring = np.vstack([pts, pts[:1]])
+    seg = np.linalg.norm(np.diff(ring, axis=0), axis=1)
+    total = seg.sum()
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.arange(n) * (total / n)
+    k = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
+    t = (s - cum[k]) / np.where(seg[k] > 0, seg[k], 1.0)
+    return ring[k] + t[:, None] * (ring[k + 1] - ring[k])
+
+
+def _resample_cases():
+    rng = np.random.default_rng(17)
+    noisy = circle(150, 40.0, (700.0, 800.0)) + rng.normal(0.0, 1.0, (150, 2))
+    square = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
+    return {
+        "noisy-ellipse": (noisy * [1.5, 1.0], (32, 150, 301)),
+        # Coordinates near zero, where an ulp of a segment length shows in the output.
+        "noisy-ellipse-at-origin": ((noisy - [700.0, 800.0]) * [1.5, 1.0], (32, 150, 301)),
+        "triangle": (np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]), (3, 7)),
+        # Zero-length segments, the closing one among them: t = 0 on a repeated point.
+        "repeated-points": (np.repeat(square, 3, axis=0), (4, 40, 41)),
+        "closed-by-its-first-point": (np.vstack([square, square[:1]]), (4, 40)),
+        "collapsed-but-one": (np.array([[5.0, 5.0]] * 6 + [[6.0, 5.0]]), (3, 32)),
+        # Spacing of a few ulps of the coordinates.
+        "near-1e8": (1e8 + circle(200, 20.0, (0.0, 0.0)) + rng.normal(0.0, 1e-7, (200, 2)), (32, 150)),
+        "near-1e8-steps": (1e8 + np.repeat(square, 2, axis=0) * 1e-6, (12, 40)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_resample_cases()))
+def test_resample_closed_equals_reference(case):
+    points, sizes = _resample_cases()[case]
+    for n in sizes:
+        assert resample_closed(points, n).tobytes() == reference_resample_closed(points, n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "points, n",
+    [
+        pytest.param(circle(8), 0, id="n=0"),
+        pytest.param(circle(8), 2, id="n=2"),
+        pytest.param(circle(8)[:2], 8, id="two-points"),
+        pytest.param(np.vstack([circle(8), [[np.nan, 3.0]]]), 8, id="nan-point"),
+        pytest.param(np.vstack([circle(8), [[3.0, np.inf]]]), 8, id="inf-point"),
+        pytest.param(np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]]), 8, id="perimeter-overflows"),
+        pytest.param(np.full((5, 2), 3.0), 8, id="zero-perimeter"),
+    ],
+)
+def test_resample_closed_rejects_degenerate_input(points, n):
+    # Any other RuntimeWarning on the way fails the test (pyproject's filterwarnings).
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        resample_closed(points, n)
+
+
 def test_resample_uniform_arc_length():
     sq = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float)
     out = resample_closed(sq, 40)
@@ -861,6 +924,87 @@ def test_stopped_snake_is_the_same_under_a_higher_cap(rect_scene, mode):
     capped = run_snake(init, force, cfg)
     uncapped = run_snake(init, force, dataclasses.replace(cfg, max_iters=2000))
     assert capped.tobytes() == uncapped.tobytes()
+
+
+def reference_settled(old, new, eps2):
+    """The stop test on the contour wrapped by a fancy index, with the cross
+    product formed in one expression."""
+    n = len(new)
+    mv = new - old
+    ring = new[np.arange(-1, n + 1) % n]
+    t = ring[2:] - ring[:-2]
+    cross = mv[:, 0] * t[:, 1] - mv[:, 1] * t[:, 0]
+    t *= t
+    return bool((cross * cross <= eps2 * (t[:, 0] + t[:, 1])).all())
+
+
+def _square_outline(side):
+    """The integer points of a side x side square's outline, counter-clockwise from (0, 0)."""
+    ramp = np.arange(side, dtype=float)
+    return np.vstack(
+        [np.column_stack([ramp, 0 * ramp]), np.column_stack([0 * ramp + side, ramp]),
+         np.column_stack([side - ramp, 0 * ramp + side]), np.column_stack([0 * ramp, side - ramp])]
+    )
+
+
+def _stop_cases():
+    """(old, new, epsilons): steps and epsilons at, and one ulp either side of, the largest normal displacement."""
+    rng = np.random.default_rng(23)
+    cases = {}
+    # Edge points move out along the edge normal by d and corners stay. On
+    # the bottom edge, at y = 0, mv = (0, -d) exactly and t = (2, 0), and
+    # (2 d)^2 == 4 d^2 exactly, so epsilon = d sits on the bound there.
+    old = _square_outline(8)
+    normal = np.repeat([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], 8, axis=0)
+    normal[::8] = 0.0
+    for d in (0.25, 0.1, 3e-3):
+        new = old + d * normal
+        step = abs((new - old)[1, 1])
+        cases[f"on-epsilon-{d}"] = (old, new, [step])
+    # Coincident neighbours give t = 0, a point with no normal.
+    old = np.repeat(circle(20, 10.0), 3, axis=0)
+    cases["repeated-points"] = (old, old + rng.normal(0.0, 0.01, old.shape), [])
+    # A run of five coincident points moved together, far, on a still contour.
+    old = np.vstack([circle(20, 10.0)[:12], np.repeat(circle(20, 10.0)[12:13], 5, axis=0), circle(20, 10.0)[13:]])
+    new = old.copy()
+    new[12:17] += 5.0
+    cases["coincident-run"] = (old, new, [0.0])
+    # Near 1e8 a coordinate's ulp is 1.5e-8: moves of a few ulps.
+    old = 1e8 + circle(150, 40.0, (0.0, 0.0))
+    cases["near-1e8"] = (old, old + rng.integers(-3, 4, old.shape) * np.spacing(1e8), [])
+    old = circle(150, 40.0)
+    cases["noisy-step"] = (old, old + rng.normal(0.0, 0.02, old.shape), [])
+    out = {}
+    for name, (old, new, extra) in cases.items():
+        n = len(new)
+        t = new[(np.arange(n) + 1) % n] - new[np.arange(n) - 1]
+        mv = new - old
+        with np.errstate(invalid="ignore", divide="ignore"):
+            normal_moves = np.abs(mv[:, 0] * t[:, 1] - mv[:, 1] * t[:, 0]) / np.hypot(t[:, 0], t[:, 1])
+        top = float(np.nanmax(normal_moves)) if np.isfinite(normal_moves).any() else 0.0
+        eps = sorted({e for base in [top, *extra] for e in (np.nextafter(base, 0.0), base, np.nextafter(base, 1.0))})
+        out[name] = (old, new, eps)
+    return out
+
+
+@pytest.mark.parametrize("case", list(_stop_cases()))
+def test_settled_equals_reference(case):
+    old, new, epsilons = _stop_cases()[case]
+    verdicts = set()
+    for eps in epsilons:
+        settled = _settled(old.copy(), new.copy(), eps * eps)
+        assert settled == reference_settled(old, new, eps * eps), eps
+        verdicts.add(settled)
+    # Every case has epsilons on both sides of its bound.
+    assert verdicts == {True, False}
+
+
+def test_settled_on_epsilon_is_settled():
+    # The bound is inclusive: a step whose normal displacement is exactly
+    # epsilon stops the snake, one an ulp more does not.
+    old, new, _ = _stop_cases()["on-epsilon-0.25"]
+    assert _settled(old, new, 0.25 * 0.25)
+    assert not _settled(old, new, np.nextafter(0.25, 0.0) ** 2)
 
 
 def test_a_snake_that_only_slides_stops_at_once(monkeypatch):
