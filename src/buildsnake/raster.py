@@ -3,9 +3,11 @@
 The image derivatives themselves live in `energy`: the energy terms, and the
 one edge-force pass, `energy.edge_force`, that drives every snake mode.
 
-Gray images are (H, W) float64 arrays with intensities in [0, 255],
-indexed [row, col] = [y, x]. Morphology and labelling work on (H, W) bool
-arrays; their metric frame, where one is needed, is a `geometry.GridSpec`.
+Gray images are (H, W) arrays of intensities in [0, 255], indexed
+[row, col] = [y, x]: float64, or uint8 as `load_pnm` returns an 8-bit file.
+Every consumer converts to float64, which holds each uint8 value exactly.
+Morphology and labelling work on (H, W) bool arrays; their metric frame,
+where one is needed, is a `geometry.GridSpec`.
 """
 from __future__ import annotations
 
@@ -55,8 +57,9 @@ def _pnm_tokens(data: bytes):
 def load_pnm(data: bytes):
     """Parse PGM (P2/P5) or PPM (P3/P6) bytes.
 
-    Returns a gray image for PGM, or an (r, g, b) triple for PPM.
-    Sample values are rescaled to [0, 255] floats; a sample outside
+    Returns a gray image for PGM, or an (r, g, b) triple for PPM, with
+    values in [0, 255]: at maxval 255 the uint8 samples themselves, at any
+    other maxval float64 samples rescaled by 255 / maxval. A sample outside
     0..maxval raises ValueError.
     """
     tokens = _pnm_tokens(data)
@@ -91,21 +94,21 @@ def load_pnm(data: bytes):
                 break
         if len(values) < count:
             raise ValueError("truncated PNM payload")
-        raw = np.asarray(values, dtype=float)
+        raw = np.array(values, dtype=np.uint8 if maxval == 255 else float)
     else:
         # Raw formats: payload starts after exactly one whitespace byte
         # following the maxval token.
         start = maxpos + len(maxtok) + 1
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
-        payload = data[start : start + count * dtype.itemsize]
-        if len(payload) < count * dtype.itemsize:
+        if len(data) - start < count * dtype.itemsize:
             raise ValueError("truncated PNM payload")
-        samples = np.frombuffer(payload, dtype=dtype, count=count)
+        samples = np.frombuffer(data, dtype=dtype, count=count, offset=start)
         if samples.max() > maxval:
             raise ValueError(f"PNM sample {samples.max()} out of range (0..{maxval})")
-        raw = samples.astype(float)
+        raw = samples.copy() if maxval == 255 else samples.astype(float)
 
-    raw = raw * (255.0 / maxval)
+    if maxval != 255:
+        raw *= 255.0 / maxval
     if channels == 1:
         return raw.reshape(height, width)
     rgb = raw.reshape(height, width, 3)
@@ -124,11 +127,20 @@ def save_pgm(img: np.ndarray) -> bytes:
 
 
 def rgb_to_gray(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ITU-R 601 luminance: 0.299 R + 0.587 G + 0.114 B."""
-    r, g, b = (np.asarray(c, dtype=float) for c in (r, g, b))
+    """ITU-R 601 luminance: 0.299 R + 0.587 G + 0.114 B, as float64.
+
+    Each channel is multiplied as float64 straight into the output or one
+    scratch array, and the products are summed in that order, so uint8
+    channels need no float copies.
+    """
+    r, g, b = (np.asarray(c) for c in (r, g, b))
     if not (r.shape == g.shape == b.shape):
         raise ValueError("channel dimensions differ")
-    return 0.299 * r + 0.587 * g + 0.114 * b
+    gray = np.multiply(r, 0.299, dtype=float)
+    part = np.multiply(g, 0.587, dtype=float)
+    gray += part
+    gray += np.multiply(b, 0.114, out=part, dtype=float)
+    return gray
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from buildsnake.raster import (
     save_pgm,
 )
 
+from conftest import traced_peak
+
 
 def flood_fill_count(cells: np.ndarray, connectivity: int) -> int:
     """Independent BFS component counter."""
@@ -107,6 +109,95 @@ def test_pnm_errors():
         load_pnm(b"P2\n2\n")  # truncated header
 
 
+def reference_load_pnm(data: bytes):
+    """The loader before 8-bit images kept their bytes: every sample a
+    float64, rescaled by 255 / maxval into a new array."""
+    tokens = _pnm_tokens(data)
+    try:
+        _, magic = next(tokens)
+    except StopIteration:
+        raise ValueError("empty PNM data") from None
+    magic = magic.decode("ascii", "replace")
+    if magic not in ("P2", "P3", "P5", "P6"):
+        raise ValueError(f"unsupported PNM magic {magic!r}")
+    try:
+        _, w = next(tokens)
+        _, h = next(tokens)
+        maxpos, maxtok = next(tokens)
+    except StopIteration:
+        raise ValueError("truncated PNM header") from None
+    width, height, maxval = int(w), int(h), int(maxtok)
+    if width <= 0 or height <= 0:
+        raise ValueError("PNM dimensions must be positive")
+    if not 0 < maxval <= 65535:
+        raise ValueError(f"PNM maxval {maxval} out of range (1..65535)")
+    channels = 3 if magic in ("P3", "P6") else 1
+    count = width * height * channels
+
+    if magic in ("P2", "P3"):
+        values = []
+        for _, tok in tokens:
+            values.append(int(tok))
+            if not 0 <= values[-1] <= maxval:
+                raise ValueError(f"PNM sample {values[-1]} out of range (0..{maxval})")
+            if len(values) == count:
+                break
+        if len(values) < count:
+            raise ValueError("truncated PNM payload")
+        raw = np.asarray(values, dtype=float)
+    else:
+        start = maxpos + len(maxtok) + 1
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        payload = data[start : start + count * dtype.itemsize]
+        if len(payload) < count * dtype.itemsize:
+            raise ValueError("truncated PNM payload")
+        samples = np.frombuffer(payload, dtype=dtype, count=count)
+        if samples.max() > maxval:
+            raise ValueError(f"PNM sample {samples.max()} out of range (0..{maxval})")
+        raw = samples.astype(float)
+
+    raw = raw * (255.0 / maxval)
+    if channels == 1:
+        return raw.reshape(height, width)
+    rgb = raw.reshape(height, width, 3)
+    return rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
+
+
+def pnm_bytes(magic: str, maxval: int, samples: np.ndarray) -> bytes:
+    """A PNM file of integer `samples`, (H, W) for PGM or (H, W, 3) for PPM."""
+    h, w = samples.shape[:2]
+    header = f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii")
+    if magic in ("P2", "P3"):
+        return header + " ".join(map(str, samples.ravel().tolist())).encode("ascii") + b"\n"
+    return header + samples.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+
+
+@pytest.mark.parametrize("maxval", [255, 100, 65535])
+@pytest.mark.parametrize("magic", ["P2", "P3", "P5", "P6"])
+def test_load_pnm_equals_reference(magic, maxval):
+    # The same values as the all-float loader, to the bit: uint8 exactly
+    # when maxval is 255, and the in-place rescale of every other maxval.
+    rng = np.random.default_rng(maxval)
+    samples = rng.integers(0, maxval + 1, (5, 7, 3) if magic in ("P3", "P6") else (5, 7))
+    samples.flat[:2] = 0, maxval
+    data = pnm_bytes(magic, maxval, samples)
+    got, want = load_pnm(data), reference_load_pnm(data)
+    if magic in ("P2", "P5"):
+        got, want = (got,), (want,)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == (np.uint8 if maxval == 255 else np.float64)
+        assert g.shape == w.shape == (5, 7)
+        assert np.asarray(g, dtype=float).tobytes() == w.tobytes()
+
+
+def test_load_8bit_pgm_peak_memory_is_under_2_5_bytes_per_pixel():
+    # The image holds one byte per pixel; a float64 copy of the samples
+    # alone would take eight.
+    h, w = 500, 600
+    data = save_pgm(np.random.default_rng(6).integers(0, 256, (h, w)))
+    assert traced_peak(load_pnm, data) <= 2.5 * h * w
+
+
 def reference_pnm_tokens(data: bytes):
     """(position, token) of each whitespace-separated token, skipping # comments, byte by byte."""
     i = 0
@@ -168,6 +259,25 @@ def test_pnm_samples_at_maxval_load_as_255():
 
 # ---------------------------------------------------------------------------
 # rgb_to_gray
+
+
+def reference_rgb_to_gray(r, g, b):
+    """The luminance before it multiplied channels straight into its output."""
+    r, g, b = (np.asarray(c, dtype=float) for c in (r, g, b))
+    return 0.299 * r + 0.587 * g + 0.114 * b
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_rgb_to_gray_equals_reference(dtype):
+    # Channels as load_pnm returns them: strided views of one (H, W, 3) array.
+    rng = np.random.default_rng(4)
+    rgb = rng.integers(0, 256, (40, 30, 3)).astype(dtype)
+    if dtype is np.float64:
+        rgb = rgb + rng.uniform(-0.5, 0.5, rgb.shape)
+    channels = rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
+    gray = rgb_to_gray(*channels)
+    assert gray.dtype == np.float64
+    assert gray.tobytes() == reference_rgb_to_gray(*channels).tobytes()
 
 
 def test_gray_white_and_green():

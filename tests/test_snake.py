@@ -618,6 +618,23 @@ def test_prepare_fields_returns_c_contiguous_pairs(mode, sigma):
         assert component.flags.c_contiguous
 
 
+@pytest.mark.parametrize("mode, sigma, k", [
+    ("basic", SnakeConfig.sigma, 1),
+    ("gvf", SnakeConfig.sigma, 4),
+    ("proposed", SnakeConfig.sigma, 4),
+    ("gvf", 4.0, 1),  # the GVF on the full-resolution image
+])
+def test_prepare_fields_same_bits_for_uint8_and_float_images(quebec_scene, mode, sigma, k):
+    # load_pnm returns an 8-bit file's uint8 samples; each converts to float64 exactly.
+    _, img, _, _, _ = quebec_scene
+    gray = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    cfg = SnakeConfig(mode=mode, sigma=sigma)
+    got, want = prepare_fields(gray, cfg), prepare_fields(gray.astype(float), cfg)
+    assert got.k == want.k == k
+    assert got.u.tobytes() == want.u.tobytes()
+    assert got.v.tobytes() == want.v.tobytes()
+
+
 def test_basic_prepare_fields_peak_memory_is_three_arrays_and_strips():
     # The energy's three arrays, then the energy and its edge force's two
     # components, plus one strip block's temporaries each time.
