@@ -70,9 +70,19 @@ def _strip_terms(c: np.ndarray, inner: slice, e_edge: np.ndarray, e_term: np.nda
     np.negative(grad_sq, out=grad_sq)
 
 
-def _weigh(field: np.ndarray, weight: float) -> np.ndarray:
-    """weight times `field` min-max normalized to [0, 1] (0 if flat), in place."""
-    lo, hi = field.min(), field.max()
+def _edge_term(c: np.ndarray, inner: slice, e_edge: np.ndarray) -> None:
+    """The edge term -(c_x^2 + c_y^2) of rows `inner` of block `c`, into e_edge,
+    with `_strip_terms`' operations: c_y needs one halo row on each side."""
+    cy = np.gradient(c, axis=0)[inner]
+    cx = np.gradient(c[inner], axis=1)
+    np.multiply(cx, cx, out=e_edge)
+    e_edge += cy * cy
+    np.negative(e_edge, out=e_edge)
+
+
+def _weigh(field: np.ndarray, weight: float, lo: float, hi: float) -> np.ndarray:
+    """weight times `field` min-max normalized to [0, 1] (0 if flat) over the
+    range [lo, hi] of the whole term, in place."""
     if hi - lo <= 0:
         field[...] = 0.0
     else:
@@ -92,22 +102,47 @@ def image_energy(
     """Weighted image energy; each term is min-max normalized to [0, 1] first.
 
     Normalization makes the published weights meaningful across images with
-    different dynamic ranges. The terms are weighed in their own arrays and
-    summed into the line term's, so the energy holds no array beyond
-    `image_energy_terms`' three. Raises ValueError if weights near the end
-    of float range make the sum overflow.
+    different dynamic ranges. Raises ValueError if weights near the end of
+    float range make the sum overflow.
+
+    Only two image-sized arrays are held: C, the smoothed image, and the
+    energy. Two passes run over C one `raster.row_strips` strip at a time.
+    The first writes each strip's termination term into the energy's array
+    and keeps only the edge term's min and max. The second recomputes each
+    strip's edge term on a block with one halo row, weighs the three terms
+    and adds them as ((line + edge) + term), the order of the whole-image
+    sum. Every pixel gets the floating-point operations of
+    `image_energy_terms` weighed and summed, so the bits are the same.
     """
-    energy, e_edge, e_term = image_energy_terms(gray, sigma)
-    _weigh(energy, w_line)
-    with np.errstate(over="ignore"):  # reported by the check below
-        energy += _weigh(e_edge, w_edge)
-        energy += _weigh(e_term, w_term)
+    c = gaussian_smooth(gray, sigma)
+    energy = np.empty(c.shape)
+    strips = row_strips(c.shape, 2)
+    edge = np.empty((strips[0][0].stop, c.shape[1]))  # the first strip is the tallest
+    # A running min and max have the whole-image reduction's values. Only a
+    # zero's sign may differ, and the edge term (<= 0) is then flat either way.
+    edge_lo, edge_hi = np.inf, -np.inf
+    for rows, block, inner in strips:
+        e_edge = edge[: rows.stop - rows.start]
+        _strip_terms(c[block], inner, e_edge, energy[rows])
+        edge_lo, edge_hi = np.minimum(edge_lo, e_edge.min()), np.maximum(edge_hi, e_edge.max())
+    line_range, term_range = (c.min(), c.max()), (energy.min(), energy.max())
+    line = np.empty_like(edge)
+    for rows, block, inner in row_strips(c.shape, 1):
+        n = rows.stop - rows.start
+        e_line, e_edge, e_term = line[:n], edge[:n], energy[rows]
+        _edge_term(c[block], inner, e_edge)
+        np.copyto(e_line, c[rows])
+        _weigh(e_line, w_line, *line_range)
+        with np.errstate(over="ignore"):  # reported by the check below
+            e_line += _weigh(e_edge, w_edge, edge_lo, edge_hi)
+            _weigh(e_term, w_term, *term_range)
+            e_term += e_line  # (line + edge) + term: addition commutes bit for bit
     if not (np.isfinite(energy.min()) and np.isfinite(energy.max())):
         raise ValueError(f"w_line={w_line!r}, w_edge={w_edge!r} and w_term={w_term!r} give a non-finite image energy")
     return energy
 
 
-def edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def edge_force(e_img: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The edge force (f_x, f_y) = grad f of f = -e_img, each (H, W): `basic`
     mode's external force, and the field the GVF diffuses.
 
@@ -115,17 +150,30 @@ def edge_force(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f with one halo row on each side (`raster.row_strips`): whole-image
     np.gradient's bits, with no whole-image copy of f or of its gradient.
     Raises ValueError on a non-finite e_img.
+
+    f_x is written into `out` if given, a float64 array of e_img's shape,
+    and else into a new array; e_img is left untouched unless it is `out`.
+    `out` may be e_img itself, so the force holds only two image-sized
+    arrays, e_img's and f_y's: each strip keeps its last row of e_img,
+    before f_x overwrites it, as the next strip's upper halo row.
     """
     e_img = np.asarray(e_img, dtype=float)
-    strips = row_strips(e_img.shape, 1)
-    f_x, f_y = np.empty(e_img.shape), np.empty(e_img.shape)
-    for rows, block, inner in strips:
+    if out is None:
+        out = np.empty(e_img.shape)
+    elif out.shape != e_img.shape or out.dtype != float:
+        raise ValueError(f"out must be a float64 array of shape {e_img.shape}, got {out.dtype} {out.shape}")
+    f_y = np.empty(e_img.shape)
+    above = None
+    for rows, block, inner in row_strips(e_img.shape, 1):
         f = np.negative(e_img[block])
+        if above is not None:
+            np.negative(above, out=f[0])
         if not np.isfinite(f).all():
             raise ValueError("e_img must be finite")
+        above = e_img[rows.stop - 1].copy()
         fy, fx = np.gradient(f)
-        f_x[rows], f_y[rows] = fx[inner], fy[inner]
-    return f_x, f_y
+        out[rows], f_y[rows] = fx[inner], fy[inner]
+    return out, f_y
 
 
 def _gvf_forces(e_img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -75,13 +75,20 @@ def force_magnitude(force: ForceField) -> np.ndarray:
 def _force_peak(force: ForceField) -> float:
     """Max |F| over the image's pixels, as `sample_force` gives F there.
 
-    At k = 1 the pixels are the grid. Otherwise F is affine along each axis
-    between neighbouring grid centres and constant past the end ones, so
-    |F| is convex on each such stretch of a pixel row or column, and peaks
-    on an end pixel: on a `_peak_lines` line. Only those are sampled.
+    At k = 1 the pixels are the grid, and the max is taken one strip of
+    about STRIP_ELEMS pixels at a time: a max is exact, so it is the
+    whole-image max with no image-sized |F| array. Otherwise F is affine
+    along each axis between neighbouring grid centres and constant past the
+    end ones, so |F| is convex on each such stretch of a pixel row or
+    column, and peaks on an end pixel: on a `_peak_lines` line. Only those
+    are sampled.
     """
     if force.k == 1:
-        return float(np.hypot(force.u, force.v).max())
+        h, w = force.u.shape
+        step = max(1, STRIP_ELEMS // w)
+        strips = (slice(r, r + step) for r in range(0, h, step))
+        # np.max, not max(): a NaN strip max must win, as in the whole-image max.
+        return float(np.max([np.hypot(force.u[s], force.v[s]).max() for s in strips]))
     ys, xs = (_peak_lines(n, m, force.k) for n, m in zip(force.shape, force.u.shape))
     return max(float(mag.max()) for mag in _magnitudes(force, ys, xs))
 
@@ -143,14 +150,18 @@ def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ForceField:
     stays as `compute_gvf` returned it.
 
     The energy and the edge force are taken one strip of rows at a time
-    (`raster.row_strips`), with the bits of whole-image np.gradient calls:
-    in basic mode at most three image-sized arrays are held beyond `gray`.
+    (`raster.row_strips`), with the bits of whole-image np.gradient calls.
+    In basic mode at most two image-sized float arrays are held beyond
+    `gray`, the floor for the two returned components: the energy's two
+    (`energy.image_energy`), then the edge force, whose f_x overwrites the
+    energy (`energy.edge_force` with out=e_img), and the peak magnitude is
+    taken a strip at a time (`_force_peak`).
     """
     shape = np.shape(gray)
     k = 1 if cfg.mode == "basic" else _gvf_scale(shape, cfg.sigma)
     e_img = image_energy(_block_mean(gray, k), cfg.w_line, cfg.w_edge, cfg.w_term, cfg.sigma / k)
     if cfg.mode == "basic":
-        u, v = edge_force(e_img)
+        u, v = edge_force(e_img, out=e_img)
     else:
         field = compute_gvf(e_img, mu=cfg.mu, iters=max(1, cfg.gvf_iters // (k * k)))
         u, v = field.u.copy(), field.v.copy()

@@ -635,11 +635,27 @@ def test_prepare_fields_same_bits_for_uint8_and_float_images(quebec_scene, mode,
     assert got.v.tobytes() == want.v.tobytes()
 
 
-def test_basic_prepare_fields_peak_memory_is_three_arrays_and_strips():
-    # The energy's three arrays, then the energy and its edge force's two
-    # components, plus one strip block's temporaries each time.
+def test_basic_prepare_fields_peak_memory_is_two_arrays_and_strips():
+    # The smoothed image and the energy, then the edge force's two
+    # components, f_x in the energy's buffer, plus one strip block's
+    # temporaries each time (about 0.46 arrays at this size).
     gray = seam_image(MEM_SHAPE, "random")
-    assert traced_peak(prepare_fields, gray, SnakeConfig(mode="basic")) <= 3.5 * ARRAY_BYTES
+    assert traced_peak(prepare_fields, gray, SnakeConfig(mode="basic")) <= 2.5 * ARRAY_BYTES
+
+
+def test_basic_prepare_fields_peak_memory_at_1536_is_two_arrays():
+    # The benchmark's tiled-basic size, where the strips weigh about 0.07
+    # arrays; three image-sized arrays at once gave 3.06.
+    shape = (1536, 1536)
+    gray = seam_image(shape, "random")
+    assert traced_peak(prepare_fields, gray, SnakeConfig(mode="basic")) <= 2.2 * shape[0] * shape[1] * 8
+
+
+def test_force_peak_at_full_resolution_holds_one_strip_of_magnitudes():
+    # |F| a strip at a time (about 0.05 arrays here), not an image-sized hypot.
+    rng = np.random.default_rng(4)
+    force = ForceField(rng.normal(0.0, 1.0, MEM_SHAPE), rng.normal(0.0, 1.0, MEM_SHAPE), 1, MEM_SHAPE)
+    assert traced_peak(snake_module._force_peak, force) <= 0.25 * ARRAY_BYTES
 
 
 @pytest.mark.parametrize("mode", ["gvf", "proposed"])
