@@ -8,7 +8,7 @@ import numpy as np
 from .config import SnakeConfig
 from .raster import gaussian_smooth, row_strips
 
-__all__ = ["GvfField", "image_energy", "image_energy_terms", "edge_force", "compute_gvf", "gvf_residual"]
+__all__ = ["GvfField", "image_energy", "edge_force", "compute_gvf", "gvf_residual"]
 
 # Regularizer for the termination-term denominator on flat regions.
 TERM_EPS = 1e-6
@@ -22,26 +22,6 @@ class GvfField:
     v: np.ndarray
     mu: float
     iters: int
-
-
-def image_energy_terms(gray: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (un-normalized) line, edge and termination energies.
-
-    With C the sigma-smoothed image: line = C, edge = -|grad C|^2, and
-    termination = level-set curvature of C.
-
-    The derivatives and terms run one strip of rows at a time, each strip's
-    derivatives taken on a block with two halo rows on each side
-    (`raster.row_strips`), so the bits are those of whole-image np.gradient
-    calls while only C, the two other terms and one block's temporaries are
-    held at once.
-    """
-    c = gaussian_smooth(gray, sigma)
-    strips = row_strips(c.shape, 2)
-    e_edge, e_term = np.empty(c.shape), np.empty(c.shape)
-    for rows, block, inner in strips:
-        _strip_terms(c[block], inner, e_edge[rows], e_term[rows])
-    return c, e_edge, e_term
 
 
 def _strip_terms(c: np.ndarray, inner: slice, e_edge: np.ndarray, e_term: np.ndarray) -> None:
@@ -111,8 +91,9 @@ def image_energy(
     and keeps only the edge term's min and max. The second recomputes each
     strip's edge term on a block with one halo row, weighs the three terms
     and adds them as ((line + edge) + term), the order of the whole-image
-    sum. Every pixel gets the floating-point operations of
-    `image_energy_terms` weighed and summed, so the bits are the same.
+    sum. Every pixel gets the floating-point operations of the whole-image
+    terms (line = C, edge = -|grad C|^2, termination = the level-set
+    curvature of C) weighed and summed, so the bits are the same.
     """
     c = gaussian_smooth(gray, sigma)
     energy = np.empty(c.shape)

@@ -80,8 +80,19 @@ def _force_peak(force: ForceField) -> float:
     whole-image max with no image-sized |F| array. Otherwise F is affine
     along each axis between neighbouring grid centres and constant past the
     end ones, so |F| is convex on each such stretch of a pixel row or
-    column, and peaks on an end pixel: on a `_peak_lines` line. Only those
-    are sampled.
+    column, and peaks on an end pixel: on a `_peak_lines` line.
+
+    Of those pixels only the ones near a few grid cells are sampled. A
+    pixel samples the 2 x 2 nodes of its `sample_force` corner cell as a sum
+    with non-negative weights that add up to 1, so its |F| is at most the
+    largest node |F| of that cell, times 1 + 1e-12 for the rounding of the
+    sum and of the hypot (the slack of `_square_up`). The pixels of the cell
+    with the largest such bound give a lower bound on the peak, and a cell
+    whose bound is below it cannot hold the peak. So only the lattice of
+    the lines through the other cells is sampled: it holds every pixel of
+    those cells and no pixel off the peak lines, and its max is the same
+    `sample_force` sample, bit for bit, as over every line pixel. The field
+    must be finite.
     """
     if force.k == 1:
         h, w = force.u.shape
@@ -89,7 +100,21 @@ def _force_peak(force: ForceField) -> float:
         strips = (slice(r, r + step) for r in range(0, h, step))
         # np.max, not max(): a NaN strip max must win, as in the whole-image max.
         return float(np.max([np.hypot(force.u[s], force.v[s]).max() for s in strips]))
-    ys, xs = (_peak_lines(n, m, force.k) for n, m in zip(force.shape, force.u.shape))
+    (m_y, m_x), k = force.u.shape, force.k
+    ys, xs = _peak_lines(force.shape[0], m_y, k), _peak_lines(force.shape[1], m_x, k)
+    # Each line's corner cell, with `sample_force`'s operations.
+    cy, cx = (np.clip(((p + (1 - k) / 2) / k).astype(np.intp), 0, m - 2) for p, m in ((ys, m_y), (xs, m_x)))
+    mag = np.hypot(force.u, force.v)
+    mag = np.maximum(mag[:-1], mag[1:])  # the larger node |F| of each vertical pair
+    bound = np.maximum(mag[:, :-1], mag[:, 1:])
+    bound *= 1.0 + 1e-12
+    i, j = np.unravel_index(np.argmax(bound), bound.shape)
+    cells = bound >= _lattice_peak(force, ys[cy == i], xs[cx == j])
+    return _lattice_peak(force, ys[cells.any(axis=1)[cy]], xs[cells.any(axis=0)[cx]])
+
+
+def _lattice_peak(force: ForceField, ys: np.ndarray, xs: np.ndarray) -> float:
+    """Max |F| as `sample_force` gives it at the pixels ys x xs."""
     return max(float(mag.max()) for mag in _magnitudes(force, ys, xs))
 
 
@@ -119,22 +144,33 @@ def _block_mean(img: np.ndarray, k: int) -> np.ndarray:
     k; `img` itself at k = 1.
 
     Each value enters divided by k^2, which no sum of them can overflow; for
-    a power-of-two k that is the bits of the sum divided. The sum runs over
-    the block rows, then the block columns, in order. Only one band of
-    ceil(H / k) rows is gathered at a time.
+    a power-of-two k that is the bits of the sum divided. Each block's sum
+    starts from 0 and runs over its rows, then its columns, in order. The
+    whole blocks are read through strided views of `img`; only a trailing
+    partial block row or column is copied, with its last row or column
+    replicated up to k.
     """
     if k == 1:
         return img
     h, w = img.shape
-    rows = np.minimum(np.arange(-(-h // k) * k), h - 1).reshape(-1, k)
-    cols = np.minimum(np.arange(-(-w // k) * k), w - 1).reshape(-1, k)
-    coarse = np.zeros((len(rows), len(cols)))
-    for i in range(k):
-        band = np.asarray(img[rows[:, i]], dtype=float)
-        band /= k * k
-        for j in range(k):
-            coarse += band[:, cols[:, j]]
+    hk, wk = h - h % k, w - w % k
+    coarse = np.zeros((-(-h // k), -(-w // k)))
+    _add_blocks(img[:hk, :wk], k, coarse[: hk // k, : wk // k])
+    if hk < h:
+        _add_blocks(np.pad(img[hk:], ((0, -h % k), (0, -w % k)), mode="edge"), k, coarse[-1:])
+    if wk < w:
+        _add_blocks(np.pad(img[:hk, wk:], ((0, 0), (0, -w % k)), mode="edge"), k, coarse[: hk // k, -1:])
     return coarse
+
+
+def _add_blocks(img: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Add to `out` each value of its k x k block of `img` divided by k^2,
+    the block's rows, then its columns, in order, through one term buffer."""
+    term = np.empty_like(out)
+    for i in range(k):
+        for j in range(k):
+            np.divide(img[i::k, j::k], float(k * k), out=term)
+            out += term
 
 
 def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ForceField:
@@ -165,6 +201,7 @@ def prepare_fields(gray: np.ndarray, cfg: SnakeConfig) -> ForceField:
     else:
         field = compute_gvf(e_img, mu=cfg.mu, iters=max(1, cfg.gvf_iters // (k * k)))
         u, v = field.u.copy(), field.v.copy()
+        del field
     del e_img
     return _rescale_force(ForceField(u, v, k, shape))
 

@@ -456,6 +456,13 @@ def test_sample_force_equals_reference_on_preset_contours(quebec_scene, monkeypa
 PEAK_SHAPES = [(60, 60), (59, 61), (57, 43), (41, 58), (11, 13)]
 
 
+def reference_lattice_peak(force):
+    """The max of `sample_force`'s |F| over every pixel on a `_peak_lines`
+    row and column of the image, one `_magnitudes` block at a time."""
+    ys, xs = (snake_module._peak_lines(n, m, force.k) for n, m in zip(force.shape, force.u.shape))
+    return max(float(mag.max()) for mag in snake_module._magnitudes(force, ys, xs))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("shape", PEAK_SHAPES)
 def test_force_peak_equals_the_full_pixel_maximum(shape, k):
@@ -471,8 +478,84 @@ def test_force_peak_equals_the_full_pixel_maximum(shape, k):
         peak = snake_module._force_peak(force)
         full = float(reference_pixel_magnitude(force).max())
         assert abs(peak - full) <= 2 * np.spacing(full)
+        assert peak == reference_lattice_peak(force)
         if k == 1:
             assert peak == float(np.hypot(force.u, force.v).max())
+
+
+def peak_grid(shape, k):
+    """The grid shape of an image of `shape` at block size k."""
+    return tuple(-(-n // k) for n in shape)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", PEAK_SHAPES)
+def test_force_peak_equals_the_lattice_scan_on_a_constant_field(shape, k):
+    # Every cell ties on its node bound; the samples round up or down by an ulp.
+    grid = peak_grid(shape, k)
+    for u, v in [(0.3, -0.7), (1.0, 0.0), (-0.05, 1e-3)]:
+        force = ForceField(np.full(grid, u), np.full(grid, v), k, shape)
+        assert snake_module._force_peak(force) == reference_lattice_peak(force)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", PEAK_SHAPES)
+def test_force_peak_is_zero_on_the_zero_field(shape, k):
+    # Every cell is a candidate.
+    grid = peak_grid(shape, k)
+    force = ForceField(np.zeros(grid), np.zeros(grid), k, shape)
+    assert snake_module._force_peak(force) == reference_lattice_peak(force) == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", PEAK_SHAPES)
+@pytest.mark.parametrize("edge", ["last-row", "last-column", "last-corner"])
+def test_force_peak_equals_the_lattice_scan_with_its_largest_node_on_the_far_edge(shape, k, edge):
+    # The pixels past the last grid centre sample the last nodes clamped; the
+    # clipped image-edge line of a side short of a multiple of k among them.
+    grid = peak_grid(shape, k)
+    rng = np.random.default_rng(grid[0] * 31 + grid[1] + k)
+    for _ in range(10):
+        u, v = rng.normal(0.0, 0.1, grid), rng.normal(0.0, 0.1, grid)
+        i = grid[0] - 1 if edge != "last-column" else rng.integers(grid[0])
+        j = grid[1] - 1 if edge != "last-row" else rng.integers(grid[1])
+        u[i, j], v[i, j] = rng.normal(0.0, 3.0, 2)
+        force = ForceField(u, v, k, shape)
+        assert snake_module._force_peak(force) == reference_lattice_peak(force)
+
+
+def test_force_peak_samples_a_cell_whose_bound_is_one_ulp_below_the_lower_bound():
+    # A plateau whose samples round 2 ulp above its nodes' |F| = b, and one
+    # node of |F| = b + 1 ulp at the image's corner, whose clamped corner
+    # pixel gives the lower bound b + 1 ulp exactly. The plateau's cells then
+    # bound below the lower bound, and only the slack keeps them sampled.
+    k, shape = 4, (12, 32)
+    x, y = float.fromhex("0x1.a39e14b3e3734p-2"), float.fromhex("0x1.48e2d0a050ba4p-1")
+    b = float(np.hypot(x, y))
+    u, v = np.zeros((3, 8)), np.zeros((3, 8))
+    u[:, 4:], v[:, 4:] = x, y
+    u[0, 0] = np.nextafter(b, np.inf)
+    force = ForceField(u, v, k, shape)
+    peak = reference_lattice_peak(force)
+    assert peak == np.nextafter(u[0, 0], np.inf)
+    assert snake_module._force_peak(force) == peak
+
+
+def test_force_peak_samples_two_blocks_of_few_pixels_on_the_preset(quebec_scene, monkeypatch):
+    # One block for the lower bound's cell and one for the lines through the
+    # cells whose bound reaches it, against one block per 8192 peak-line
+    # pixels for a scan of them all.
+    _, img, _, _, _ = quebec_scene
+    sizes = []
+
+    def counting(force, points):
+        sizes.append(len(points))
+        return sample_force(force, points)
+
+    monkeypatch.setattr(snake_module, "sample_force", counting)
+    force = prepare_fields(img, SnakeConfig(mode="gvf"))
+    assert force.k == 4
+    assert len(sizes) == 2 and sum(sizes) <= 1000
 
 
 def test_force_magnitude_samples_every_pixel():
@@ -499,6 +582,41 @@ def reference_block_mean(img, k):
     h, w = img.shape
     padded = np.pad(img, ((0, -h % k), (0, -w % k)), mode="edge")
     return sum(padded[i::k, j::k] / (k * k) for i in range(k) for j in range(k))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_block_mean_equals_reference(k, dtype):
+    # Every remainder of each side mod k: whole blocks only, a trailing
+    # partial block row, column or both. Float images hold signed zeros,
+    # which enter a block's sum after its starting 0.
+    rng = np.random.default_rng(k)
+    for rh in range(k):
+        for rw in range(k):
+            shape = (3 * k + rh, 4 * k + rw)
+            if dtype == np.uint8:
+                img = rng.integers(0, 256, shape).astype(np.uint8)
+            else:
+                img = rng.uniform(-255.0, 255.0, shape)
+                img[rng.random(shape) < 0.2] = -0.0
+            got = snake_module._block_mean(img, k)
+            assert got.dtype == np.float64
+            assert got.tobytes() == reference_block_mean(img, k).tobytes()
+
+
+def test_block_mean_of_a_1024_image_allocates_its_output_and_one_term():
+    # Two arrays of the 256 x 256 grid, 1 MiB; gathering a float band of
+    # H / 4 rows took 4.77 MiB.
+    gray = np.random.default_rng(6).integers(0, 256, (1024, 1024)).astype(np.uint8)
+    assert traced_peak(snake_module._block_mean, gray, 4) <= 1.3 * 2**20
+
+
+def test_block_mean_of_an_odd_float_image_makes_no_image_sized_copy():
+    # Strided views of the whole blocks; only the trailing partial block row
+    # and column are copied, k rows or columns each.
+    shape = (1023, 1021)
+    gray = np.random.default_rng(7).uniform(0.0, 255.0, shape)
+    assert traced_peak(snake_module._block_mean, gray, 4) <= 0.15 * shape[0] * shape[1] * 8
 
 
 def reference_force(gray, cfg, k=None):
@@ -660,12 +778,15 @@ def test_force_peak_at_full_resolution_holds_one_strip_of_magnitudes():
 
 @pytest.mark.parametrize("mode", ["gvf", "proposed"])
 def test_gvf_prepare_fields_peak_memory_is_under_two_arrays(mode):
-    # Nothing image-sized: one band of H / 4 rows for the block mean, then
-    # the energy, the GVF and its copies on the 1/16 grid, and one block of
-    # sampled pixels for the peak. The block's fixed size weighs most at
-    # this small image (about 0.9 arrays); at 1024^2 the peak is 0.56 arrays.
-    gray = seam_image(MEM_SHAPE, "random")
-    assert traced_peak(prepare_fields, gray, SnakeConfig(mode=mode)) <= 2.0 * ARRAY_BYTES
+    # Nothing image-sized: the block mean, the energy, the GVF and its
+    # copies, and the peak's node bounds, all on the 1/16 grid, and a few
+    # sampled pixels. At the small image the GVF's strip buffers span the
+    # whole grid (about 0.63 arrays); at 1024^2 the peak is 0.44 arrays,
+    # where a float band of H / 4 rows for the block mean and blocks of
+    # every peak-line pixel took 0.56.
+    for shape, arrays in [(MEM_SHAPE, 2.0), ((1024, 1024), 0.47)]:
+        gray = seam_image(shape, "random")
+        assert traced_peak(prepare_fields, gray, SnakeConfig(mode=mode)) <= arrays * shape[0] * shape[1] * 8
 
 
 # ---------------------------------------------------------------------------
