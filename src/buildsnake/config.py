@@ -7,6 +7,8 @@ import numbers
 from dataclasses import dataclass
 
 MODES = ("basic", "gvf", "proposed")
+# The pixel connectivities `raster.connected_components` labels with.
+CONNECTIVITIES = (4, 8)
 # The LAS class code of ground points.
 GROUND_CLASS = 2
 # Keys an older config or run.json may hold; they are accepted and ignored.
@@ -47,6 +49,12 @@ def as_number(name: str, value, integer: bool = False, bound: str | None = None)
     return number
 
 
+def check_connectivity(value) -> None:
+    """ValueError unless `value` is one of CONNECTIVITIES."""
+    if value not in CONNECTIVITIES:
+        raise ValueError(f"connectivity must be 4 or 8, got {value!r}")
+
+
 @dataclass
 class SnakeConfig:
     """Every `extract` parameter, with empirically tuned defaults."""
@@ -85,8 +93,7 @@ class SnakeConfig:
                 as_number(f.name, value, bound=BOUNDS.get(f.name))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.connectivity not in (4, 8):
-            raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity!r}")
+        check_connectivity(self.connectivity)
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SnakeConfig
+from .config import BOUNDS, SnakeConfig, as_number
 from .raster import gaussian_smooth, row_strips
 
 __all__ = ["GvfField", "image_energy", "edge_force", "compute_gvf", "gvf_residual"]
@@ -276,8 +276,7 @@ def compute_gvf(
     strip at a time on a padded window, with the bits of a whole-image step
     (see `_step`).
     """
-    if not 0 < mu < np.inf:
-        raise ValueError(f"mu must be a positive finite number, got {mu!r}")
+    as_number("mu", mu, bound=BOUNDS["mu"])
     f_x, f_y, g, g_max = _gvf_forces(e_img)
     u, v = f_x.copy(), f_y.copy()  # updated in place
     dt = 1.9 / (8.0 * mu + g_max)

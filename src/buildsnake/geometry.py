@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import as_number
+
 __all__ = [
     "GridSpec",
     "OrientedRect",
@@ -38,8 +40,7 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        as_number("cell_size", self.cell_size, bound="> 0")
 
     def x_centers(self) -> np.ndarray:
         return self.origin[0] + (np.arange(self.width) + 0.5) * self.cell_size
@@ -194,12 +195,6 @@ def hausdorff_distance(a, b) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return float(np.sum(x * yn - xn * y) / 2.0)
-
-
 def polygon_is_simple(polygon) -> bool:
     """True when no two non-adjacent edges properly cross or overlap."""
     pts = _as_points(polygon)
@@ -245,12 +240,12 @@ def polygon_centroid(polygon) -> tuple[float, float]:
         raise ValueError("polygon needs at least 3 vertices")
     if not polygon_is_simple(pts):
         raise ValueError("polygon is self-intersecting")
-    a = _signed_area(pts)
-    if abs(a) < 1e-12:
-        raise ValueError("polygon has zero area")
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     w = x * yn - xn * y
+    a = float(np.sum(w) / 2.0)  # the signed area
+    if abs(a) < 1e-12:
+        raise ValueError("polygon has zero area")
     cx = float(np.sum((x + xn) * w) / (6.0 * a))
     cy = float(np.sum((y + yn) * w) / (6.0 * a))
     return (cx, cy)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SnakeConfig
+from .config import BOUNDS, SnakeConfig, as_number
 from .geometry import GridSpec, convex_hull_indices
 from .raster import connected_components, morphological_open
 
@@ -149,8 +149,7 @@ def project_to_grid(nonground: PointCloud3D, density: float) -> tuple[GridSpec, 
     cell_size = sqrt(2 / density): a roof cell holds two points in expectation
     and is empty with probability e^-2, so about 13.5 % of roof cells are holes.
     """
-    if density <= 0:
-        raise ValueError("density must be positive")
+    as_number("density", density, bound=BOUNDS["density"])
     if len(nonground) == 0:
         raise ValueError("no non-ground points to project")
     cell = float(np.sqrt(2.0 / density))

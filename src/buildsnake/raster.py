@@ -16,6 +16,8 @@ import re
 
 import numpy as np
 
+from .config import BOUNDS, as_number, check_connectivity
+
 __all__ = [
     "load_pnm",
     "save_pgm",
@@ -172,8 +174,7 @@ def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     rows at a time; the row pass drops its outputs that straddle two rows.
     """
     img = np.asarray(img, dtype=float)
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    as_number("sigma", sigma, bound=BOUNDS["sigma"])
     k = gaussian_kernel(sigma)
     r = len(k) // 2
     h, w = img.shape
@@ -229,9 +230,7 @@ def row_strips(shape: tuple[int, ...], halo: int) -> list[tuple[slice, slice, sl
 
 def disk_element(radius: int) -> np.ndarray:
     """Disk structuring element: cells with dx^2 + dy^2 <= radius^2."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    r = int(radius)
+    r = as_number("radius", radius, integer=True, bound=BOUNDS["opening_radius"])
     y, x = np.mgrid[-r : r + 1, -r : r + 1]
     return (x * x + y * y) <= r * r
 
@@ -257,8 +256,7 @@ def connected_components(cells: np.ndarray, connectivity: int) -> tuple[np.ndarr
     they touch in the row above by a union-find whose roots are the lowest
     runs, so numbering the roots in order numbers the components by first cell.
     """
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
+    check_connectivity(connectivity)
     cells = np.asarray(cells, dtype=bool)
     h, w = cells.shape
     # Run starts and ends (one past the last cell) at flat index row * (w + 1) + col.

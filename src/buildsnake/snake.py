@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SnakeConfig
+from .config import BOUNDS, SnakeConfig, as_number
 from .energy import compute_gvf, edge_force, image_energy
 from .geometry import hausdorff_distance, polygon_perimeter
-from .raster import STRIP_ELEMS
+from .raster import STRIP_ELEMS, row_strips
 
 __all__ = [
     "ForceField",
@@ -40,12 +40,19 @@ __all__ = [
 class ForceField:
     """The force of one image of (H, W) `shape`: components u and v on a grid
     k times coarser, whose cell (i, j) is centred on pixel (x, y) =
-    (k j + (k - 1) / 2, k i + (k - 1) / 2). At k = 1 it is the pixel grid."""
+    (k j + (k - 1) / 2, k i + (k - 1) / 2). At k = 1 it is the pixel grid.
+    u and v share one 2-D shape of at least 2 x 2, which bilinear sampling
+    needs, and k is an integer >= 1."""
 
     u: np.ndarray
     v: np.ndarray
     k: int
     shape: tuple[int, int]
+
+    def __post_init__(self):
+        if self.u.shape != self.v.shape or self.u.ndim != 2 or min(self.u.shape) < 2:
+            raise ValueError(f"u and v must share one 2-D shape of at least 2x2, got {self.u.shape} and {self.v.shape}")
+        as_number("k", self.k, integer=True, bound=">= 1")
 
 
 def _peak_lines(n: int, m: int, k: int) -> np.ndarray:
@@ -75,8 +82,8 @@ def force_magnitude(force: ForceField) -> np.ndarray:
 def _force_peak(force: ForceField) -> float:
     """Max |F| over the image's pixels, as `sample_force` gives F there.
 
-    At k = 1 the pixels are the grid, and the max is taken one strip of
-    about STRIP_ELEMS pixels at a time: a max is exact, so it is the
+    At k = 1 the pixels are the grid, and the max is taken one
+    `raster.row_strips` strip at a time: a max is exact, so it is the
     whole-image max with no image-sized |F| array. Otherwise F is affine
     along each axis between neighbouring grid centres and constant past the
     end ones, so |F| is convex on each such stretch of a pixel row or
@@ -95,9 +102,7 @@ def _force_peak(force: ForceField) -> float:
     must be finite.
     """
     if force.k == 1:
-        h, w = force.u.shape
-        step = max(1, STRIP_ELEMS // w)
-        strips = (slice(r, r + step) for r in range(0, h, step))
+        strips = (rows for rows, _, _ in row_strips(force.u.shape, 0))
         # np.max, not max(): a NaN strip max must win, as in the whole-image max.
         return float(np.max([np.hypot(force.u[s], force.v[s]).max() for s in strips]))
     (m_y, m_x), k = force.u.shape, force.k
@@ -314,8 +319,6 @@ def sample_force(force: ForceField, points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     h, w = force.u.shape
-    if h < 2 or w < 2:
-        raise ValueError(f"force field must be at least 2x2, got {h}x{w}")
     n = len(pts)
     # weights[0] holds the weights (sx, sy) of the low corners, weights[1]
     # those (tx, ty) of the high ones, each as x and y rows; c is weights[1].
@@ -354,15 +357,9 @@ def sample_force(force: ForceField, points: np.ndarray) -> np.ndarray:
 
 def shape_sim_energy(snake: np.ndarray, boundary: np.ndarray, delta: float) -> float:
     """Shape dissimilarity 1 - exp(-d_H^2 / delta), in [0, 1)."""
-    _check_positive_finite("delta", delta)
+    as_number("delta", delta, bound=BOUNDS["delta"])
     d = hausdorff_distance(snake, boundary)
     return float(1.0 - np.exp(-(d * d) / delta))
-
-
-def _check_positive_finite(name: str, value: float) -> None:
-    """ValueError unless 0 < value < inf; NaN fails both comparisons."""
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _square_up(t):
@@ -457,8 +454,8 @@ def shape_force(
     reference holds, 2 n M floats, for the life of its snake. A call on it
     allocates only arrays over the active rows and their pairs.
     """
-    _check_positive_finite("delta", delta)
-    _check_positive_finite("step", step)
+    as_number("delta", delta, bound=BOUNDS["delta"])
+    as_number("step", step, bound="> 0")
     a = np.ascontiguousarray(snake, dtype=float)
     ref = boundary if isinstance(boundary, ShapeReference) else ShapeReference.build(boundary, len(a))
     b, q, dy = ref.points, ref.q, ref.dy

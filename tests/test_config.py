@@ -3,9 +3,14 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from buildsnake.config import BOUNDS, SnakeConfig
+from buildsnake.energy import image_energy
+from buildsnake.geometry import GridSpec
+from buildsnake.lidar import PointCloud3D, project_to_grid
+from buildsnake.raster import disk_element, gaussian_smooth
 
 
 @pytest.mark.parametrize(
@@ -90,3 +95,27 @@ def test_from_dict_rejects_unknown_keys_and_drops_retired_ones():
     with pytest.raises(ValueError, match="^unknown key 'conectivity'$"):
         SnakeConfig.from_dict({"workers": 2, "conectivity": 4})
     assert SnakeConfig.from_dict({"workers": 2, "mbr_source": "lidar", "eval_cell_size": 1.0}) == SnakeConfig()
+
+
+CLOUD = PointCloud3D(np.array([[0.0, 0.0, 5.0], [3.0, 2.0, 5.0]]))
+
+
+# A library function checks a setting with `as_number` and the key's bound,
+# so a direct call rejects what SnakeConfig rejects, in the same words.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gaussian_smooth(np.zeros((4, 4)), math.inf), "sigma must be finite, got inf"),
+        (lambda: gaussian_smooth(np.zeros((4, 4)), math.nan), "sigma must be a number, got nan"),
+        (lambda: image_energy(np.zeros((4, 4)), sigma=math.inf), "sigma must be finite, got inf"),
+        (lambda: project_to_grid(CLOUD, math.inf), "density must be finite, got inf"),
+        (lambda: project_to_grid(CLOUD, math.nan), "density must be a number, got nan"),
+        (lambda: disk_element(1.5), "radius must be an integer, got 1.5"),
+        (lambda: GridSpec((0.0, 0.0), math.nan, 2, 2), "cell_size must be a number, got nan"),
+        (lambda: GridSpec((0.0, 0.0), math.inf, 2, 2), "cell_size must be finite, got inf"),
+    ],
+    ids=["smooth-inf", "smooth-nan", "energy-inf", "grid-inf", "grid-nan", "disk-1.5", "cell-nan", "cell-inf"],
+)
+def test_library_setting_checks_use_the_config_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

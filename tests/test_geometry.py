@@ -215,7 +215,7 @@ def test_grid_cell_index_half_open_and_unclipped():
 
 def test_grid_rejects_non_positive_cell_size():
     for cell in (0.0, -1.0):
-        with pytest.raises(ValueError, match="cell_size must be positive"):
+        with pytest.raises(ValueError, match="^cell_size must be "):
             GridSpec(origin=(0.0, 0.0), cell_size=cell, width=2, height=2)
 
 

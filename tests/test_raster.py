@@ -393,12 +393,7 @@ def test_gradient_central_difference_value():
     assert gx[1, 5] == pytest.approx((36.0 - 16.0) / 2.0)
 
 
-def test_gradient_too_small():
-    with pytest.raises(ValueError):
-        edge_force(np.zeros((2, 5)))
-
-
-@pytest.mark.parametrize("shape", [(5, 2), (1, 1), (9,), (4, 4, 4)])
+@pytest.mark.parametrize("shape", [(2, 5), (5, 2), (1, 1), (9,), (4, 4, 4)])
 def test_gradient_rejects_other_than_3x3_or_larger_images(shape):
     with pytest.raises(ValueError, match="at least 3x3"):
         edge_force(np.zeros(shape))

@@ -71,7 +71,7 @@ def test_shape_sim_monotone_and_bounded():
 @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
 def test_shape_sim_energy_rejects_nonpositive_or_nonfinite_delta(delta):
     sq = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float)
-    with pytest.raises(ValueError, match="delta must be positive and finite"):
+    with pytest.raises(ValueError, match="^delta must be "):
         shape_sim_energy(sq + 1.0, sq, delta)
 
 
@@ -276,7 +276,7 @@ def test_shape_force_equals_dense_oracle_on_preset_contours(monkeypatch):
 def test_shape_force_rejects_nonpositive_delta_and_step(kwargs):
     ref = circle(16)
     args = {"delta": 50.0, **kwargs}
-    with pytest.raises(ValueError, match="must be positive and finite"):
+    with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be "):
         shape_force(ref + 1.0, ref, **args)
 
 
@@ -409,9 +409,22 @@ def test_sample_force_equals_reference_on_non_contiguous_fields():
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
 def test_sample_force_rejects_field_under_2x2(shape):
-    force = ForceField(np.zeros(shape), np.zeros(shape), 1, shape)
     with pytest.raises(ValueError, match="at least 2x2"):
-        sample_force(force, np.zeros((3, 2)))
+        ForceField(np.zeros(shape), np.zeros(shape), 1, shape)
+
+
+@pytest.mark.parametrize(
+    "u_shape, v_shape, k, message",
+    [
+        ((3, 4), (4, 3), 1, r"^u and v must share one 2-D shape"),
+        ((3, 4, 2), (3, 4, 2), 1, r"^u and v must share one 2-D shape"),
+        ((3, 4), (3, 4), 0, r"^k must be >= 1, got 0$"),
+        ((3, 4), (3, 4), 1.5, r"^k must be an integer, got 1.5$"),
+    ],
+)
+def test_force_field_rejects_unequal_components_and_a_bad_scale(u_shape, v_shape, k, message):
+    with pytest.raises(ValueError, match=message):
+        ForceField(np.zeros(u_shape), np.zeros(v_shape), k, (12, 12))
 
 
 @pytest.mark.parametrize("k", [1, 3, 4])
