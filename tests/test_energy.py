@@ -115,6 +115,15 @@ def reference_edge_force(e_img):
 
 @pytest.mark.parametrize("case", SEAM_CASES)
 @pytest.mark.parametrize("shape", STRIP_SEAM_SHAPES)
+def test_image_energy_equals_reference_at_strip_seams(shape, case):
+    gray = seam_image(shape, case)
+    for weights in [(0.04, 2.0, 0.01), (-0.5, 0.0, 3.0)]:
+        got = image_energy(gray, *weights, sigma=2.0)
+        assert got.tobytes() == reference_image_energy(gray, *weights, sigma=2.0).tobytes()
+
+
+@pytest.mark.parametrize("case", SEAM_CASES)
+@pytest.mark.parametrize("shape", STRIP_SEAM_SHAPES)
 def test_edge_force_equals_reference_at_strip_seams(shape, case):
     # Signed zeros included: f is negated before its gradient is taken.
     e_img = seam_image(shape, case) - 128.0
