@@ -120,6 +120,11 @@ def _text(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def _cloud(path: Path) -> lidar.PointCloud3D:
+    with path.open(encoding="utf-8") as f:
+        return lidar.parse_xyz(f)
+
+
 def _gray(path: Path) -> np.ndarray:
     img = raster.load_pnm(path.read_bytes())
     return raster.rgb_to_gray(*img) if isinstance(img, tuple) else img
@@ -184,7 +189,7 @@ def cmd_extract(args) -> int:
         if key not in merged:
             raise ConfigError(f"[config] missing required input: --{key}")
     gray = _parse_file(merged["image"], "image", _gray)
-    cloud = _parse_file(merged["cloud"], "cloud", lambda p: lidar.parse_xyz(_text(p)))
+    cloud = _parse_file(merged["cloud"], "cloud", _cloud)
     t = _parse_file(merged["transform"], "transform", lambda p: AffineTransform2D.from_line(_text(p)))
     truth_polys = _parse_file(merged["truth"], "truth", _wkts) if merged.get("truth") else None
     # Made only once every input is read, so a bad input leaves no directory behind.

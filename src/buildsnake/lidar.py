@@ -6,7 +6,9 @@ points by segment label and each segment's planar convex hull in xy.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -53,29 +55,38 @@ class PointCloud3D:
         return PointCloud3D(self.xyz[mask], cls)
 
 
-def parse_xyz(text: str) -> PointCloud3D:
-    """Parse `x y z [class]` lines; '#' starts a comment.
+def parse_xyz(source: str | TextIO) -> PointCloud3D:
+    """Parse `x y z [class]` lines from text or from an open, seekable text file; '#' starts a comment.
 
-    The first data line sets the column count; numpy's text reader parses
-    every line, with the classes as integers.
+    Text is split with `str.splitlines`. A file is read in place, in the
+    lines its reader breaks it into (LF, CRLF and CR in universal-newline
+    mode), with no copy of its whole text. The first data line sets the
+    column count; numpy's text reader parses every line, with the classes as
+    integers. A `line N:` error numbers the lines the same way.
     """
-    lines = text.splitlines()
+    in_file = not isinstance(source, str)
+    lines = source if in_file else source.splitlines()
     first = next((line for line in lines if line.split("#", 1)[0].strip()), None)
     if first is None:
         raise ValueError("point cloud file contains no points")
     has_class = len(first.split("#", 1)[0].split()) == 4
     dtype = [("xyz", float, 3), ("cls", int)] if has_class else [("xyz", float, 3)]
+    if in_file:
+        source.seek(0)
     try:
         rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
     except ValueError as exc:
+        if in_file:
+            source.seek(0)
         raise _line_error(lines, has_class) or exc from None
     cls = np.ascontiguousarray(rows["cls"]) if has_class else None
     return PointCloud3D(np.ascontiguousarray(rows["xyz"]), cls)
 
 
-def _line_error(lines: list[str], has_class: bool) -> ValueError | None:
+def _line_error(lines: Iterable[str], has_class: bool) -> ValueError | None:
     """The error of the first data line that is not 'x y z', or 'x y z class'."""
     for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")  # a file's lines keep their newline
         parts = line.split("#", 1)[0].split()
         if not parts:
             continue

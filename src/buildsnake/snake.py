@@ -60,7 +60,9 @@ def _peak_lines(n: int, m: int, k: int) -> np.ndarray:
     centres k i + (k - 1) / 2 (the floor and ceil of each), clipped to the
     image: a centre past the last pixel gives the image's edge line."""
     centres = k * np.arange(m) + (k - 1) / 2
-    return np.unique(np.clip(np.concatenate([np.floor(centres), np.ceil(centres)]), 0, n - 1))
+    v = np.sort(np.clip(np.concatenate([np.floor(centres), np.ceil(centres)]), 0, n - 1))
+    # np.unique's own mask over the sorted values: its first call would import numpy.ma.
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 def _magnitudes(force: ForceField, ys: np.ndarray, xs: np.ndarray):

@@ -524,6 +524,10 @@ BAD_TRANSFORM_ARGV = ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{sc
                       "--transform", "{bad}", "--outdir", "{out}"]
 BAD_IMAGE_ARGV = ["extract", "--image", "{bad}", "--cloud", "{scene}/cloud.xyz",
                   "--transform", "{scene}/transform.txt", "--outdir", "{out}"]
+BAD_CLOUD_ARGV = ["extract", "--image", "{scene}/scene.pgm", "--cloud", "{bad}",
+                  "--transform", "{scene}/transform.txt", "--outdir", "{out}"]
+# A byte that is not UTF-8, in the first block the reader decodes and past it.
+NON_UTF8_CLOUDS = [b"0 0 0 2\n1 \xff 0 2\n", b"0 0 0 2\n" * 2000 + b"1 \xff 0 2\n"]
 # The message after the stage tag and path, for the inputs whose message no other test pins.
 MALFORMED_MESSAGES = {
     b"": "empty PNM data",
@@ -555,6 +559,7 @@ MALFORMED_MESSAGES = {
         ("image", b"", BAD_IMAGE_ARGV),
         ("image", b"P5\n0 4\n255\n", BAD_IMAGE_ARGV),
         ("pairs", b"0 0 0\n", ["fit-transform", "--pairs", "{bad}"]),
+        *[("cloud", data, BAD_CLOUD_ARGV) for data in NON_UTF8_CLOUDS],
     ],
 )
 def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, capsys, stage, content, argv):
@@ -883,12 +888,13 @@ def test_synth_and_extract_basic_run_without_scipy(small_scene_dir, tmp_path):
     assert len(read_wkts(out / "footprints.wkt")) == 2
 
 
-def test_extract_basic_on_preset_does_not_import_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on its first call; the extract path avoids it.
+@pytest.mark.parametrize("mode", ["basic", "gvf", "proposed"])
+def test_extract_on_preset_does_not_import_numpy_ma(tmp_path, mode):
+    # np.unique imports numpy.ma on its first call; the extract path avoids it in every mode.
     scene = tmp_path / "scene"
     assert main(["synth", "--preset", "quebec-like", "--outdir", str(scene)]) == 0
     extract = [
-        "extract", "--mode", "basic",
+        "extract", "--mode", mode,
         "--image", str(scene / "scene.pgm"),
         "--cloud", str(scene / "cloud.xyz"),
         "--transform", str(scene / "transform.txt"),

@@ -18,6 +18,8 @@ from buildsnake.lidar import (
 )
 from buildsnake.synthetic import generate_scene, quebec_like_spec
 
+from conftest import traced_peak
+
 
 def make_cloud(xy, z, classes=None) -> PointCloud3D:
     xyz = np.column_stack([np.asarray(xy, float), np.full(len(xy), float(z))])
@@ -113,29 +115,29 @@ def test_parse_xyz_equals_reference_on_random_clouds():
         assert np.array_equal(cloud.xyz, xyz)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("# h\n1 2 3\n\n1 2 3 4\n", "line 4: inconsistent column count"),
-        ("1 2 3 2\n# x\n4 5 6\n", "line 3: inconsistent column count"),
-        ("1 2 3\n1 2\n", "line 2: expected 'x y z \\[class\\]'"),
-        ("# h\n1 2 3 4 5\n", "line 2: expected 'x y z \\[class\\]'"),
-    ],
-)
+COLUMN_ERRORS = [
+    ("# h\n1 2 3\n\n1 2 3 4\n", "line 4: inconsistent column count"),
+    ("1 2 3 2\n# x\n4 5 6\n", "line 3: inconsistent column count"),
+    ("1 2 3\n1 2\n", "line 2: expected 'x y z \\[class\\]'"),
+    ("# h\n1 2 3 4 5\n", "line 2: expected 'x y z \\[class\\]'"),
+    ("1 2 3\r\n# x\r1 2\r\n", "line 3: expected 'x y z \\[class\\]', got '1 2'$"),
+]
+VALUE_ERRORS = [
+    ("1 2 3 2\n4 5 6 2.5\n", "invalid literal for int"),
+    ("1 2 3 2.0\n", "invalid literal for int"),
+    ("1 2 3\n4 abc 6\n", "could not convert string to float"),
+]
+EMPTY_CLOUDS = ["", "# only comments\n", "\n  \n# a\r\n#b"]
+
+
+@pytest.mark.parametrize("text, message", COLUMN_ERRORS)
 def test_parse_xyz_column_errors_equal_reference(text, message):
     for parse in (parse_xyz, reference_parse_xyz):
         with pytest.raises(ValueError, match=message):
             parse(text)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("1 2 3 2\n4 5 6 2.5\n", "invalid literal for int"),
-        ("1 2 3 2.0\n", "invalid literal for int"),
-        ("1 2 3\n4 abc 6\n", "could not convert string to float"),
-    ],
-)
+@pytest.mark.parametrize("text, message", VALUE_ERRORS)
 def test_parse_xyz_value_errors_name_their_line(text, message):
     with pytest.raises(ValueError, match=message):
         reference_parse_xyz(text)
@@ -144,12 +146,70 @@ def test_parse_xyz_value_errors_name_their_line(text, message):
         parse_xyz(text)
 
 
-@pytest.mark.parametrize("text", ["", "# only comments\n", "\n  \n# a\r\n#b"])
+@pytest.mark.parametrize("text", EMPTY_CLOUDS)
 def test_parse_xyz_without_points_raises_without_warning(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="contains no points"):
             parse_xyz(text)
+
+
+def cloud_file(tmp_path, text: str):
+    """`text` written to a file byte for byte, line endings included."""
+    path = tmp_path / "cloud.xyz"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def parse_file(path) -> PointCloud3D:
+    """parse_xyz of the file at `path`, opened as `extract` opens the cloud."""
+    with path.open(encoding="utf-8") as f:
+        return parse_xyz(f)
+
+
+@pytest.mark.parametrize("text", PARSE_CASES)
+def test_parse_xyz_file_equals_text(tmp_path, text):
+    _assert_same_cloud(parse_file(cloud_file(tmp_path, text)), parse_xyz(text))
+
+
+def test_parse_xyz_file_equals_text_on_write_xyz_round_trip(tmp_path):
+    rng = np.random.default_rng(6)
+    xyz = rng.uniform(-1e4, 1e4, (3000, 3)) * rng.choice([1e-9, 1.0, 1e6], (3000, 3))
+    for classes in (None, rng.integers(0, 20, 3000)):
+        text = write_xyz(PointCloud3D(xyz, classes))
+        cloud = parse_file(cloud_file(tmp_path, text))
+        _assert_same_cloud(cloud, parse_xyz(text))
+        assert cloud.xyz.flags.c_contiguous
+        assert np.array_equal(cloud.xyz, xyz)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in COLUMN_ERRORS + VALUE_ERRORS])
+def test_parse_xyz_file_errors_equal_text_errors(tmp_path, text):
+    with pytest.raises(ValueError) as from_text:
+        parse_xyz(text)
+    with pytest.raises(ValueError) as from_file:
+        parse_file(cloud_file(tmp_path, text))
+    assert str(from_file.value) == str(from_text.value)
+    assert str(from_file.value).startswith("line ")
+
+
+@pytest.mark.parametrize("text", EMPTY_CLOUDS)
+def test_parse_xyz_file_without_points_raises_without_warning(tmp_path, text):
+    path = cloud_file(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="contains no points"):
+            parse_file(path)
+
+
+def test_parse_xyz_file_peak_memory_is_bounded(tmp_path):
+    # Read in place, the file costs no whole-file str and no list of lines:
+    # the peak is the parsed rows plus the returned arrays (2.1x measured).
+    rng = np.random.default_rng(7)
+    n = 20_000
+    cloud = PointCloud3D(rng.uniform(-1e4, 1e4, (n, 3)), rng.integers(0, 10, n))
+    path = cloud_file(tmp_path, write_xyz(cloud))
+    assert traced_peak(parse_file, path) <= 2.5 * (cloud.xyz.nbytes + cloud.classes.nbytes)
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,17 @@ def test_force_peak_equals_the_full_pixel_maximum(shape, k):
             assert peak == float(np.hypot(force.u, force.v).max())
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_peak_lines_equal_np_unique(k):
+    # The sort-and-mask dedup in `_peak_lines` avoids np.unique only for its numpy.ma import.
+    for n in (1, 2, 11, 43, 60, 61):
+        m = -(-n // k)
+        centres = k * np.arange(m) + (k - 1) / 2
+        expected = np.unique(np.clip(np.concatenate([np.floor(centres), np.ceil(centres)]), 0, n - 1))
+        got = snake_module._peak_lines(n, m, k)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def peak_grid(shape, k):
     """The grid shape of an image of `shape` at block size k."""
     return tuple(-(-n // k) for n in shape)
