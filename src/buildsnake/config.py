@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,9 +26,7 @@ def as_number(name: str, value, integer: bool = False, bound: str | None = None)
 
     `bound` is a lower bound, ">= x" or "> x"; a value past it raises `<name> must be <bound>, got <value>`.
     """
-    if type(value) is float and not integer and math.isfinite(value):
-        number = value  # the common case, without the ABC checks below
-    elif integer:
+    if integer:
         integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
         if isinstance(value, bool) or not integral:
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -46,17 +43,10 @@ def as_number(name: str, value, integer: bool = False, bound: str | None = None)
         if not math.isfinite(number):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if bound is not None:
-        strict, limit = _lower_bound(bound)
-        if not (number > limit if strict else number >= limit):
+        op, limit = bound.split()
+        if not (number > float(limit) if op == ">" else number >= float(limit)):
             raise ValueError(f"{name} must be {bound}, got {value!r}")
     return number
-
-
-@functools.cache
-def _lower_bound(bound: str) -> tuple[bool, float]:
-    """(strict, limit) of a bound ">= x" or "> x", parsed once per bound string."""
-    op, limit = bound.split()
-    return op == ">", float(limit)
 
 
 def check_connectivity(value) -> None:

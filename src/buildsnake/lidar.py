@@ -6,6 +6,8 @@ points by segment label and each segment's planar convex hull in xy.
 """
 from __future__ import annotations
 
+import io
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TextIO
@@ -56,29 +58,32 @@ class PointCloud3D:
 
 
 def parse_xyz(source: str | TextIO) -> PointCloud3D:
-    """Parse `x y z [class]` lines from text or from an open, seekable text file; '#' starts a comment.
+    """Parse `x y z [class]` lines from text or from an open text file; '#' starts a comment.
 
-    Text is split with `str.splitlines`. A file is read in place, in the
-    lines its reader breaks it into (LF, CRLF and CR in universal-newline
-    mode), with no copy of its whole text. The first data line sets the
+    Lines end at LF, CRLF or CR, as in universal-newline mode; a file is read
+    in place, with no copy of its whole text. The first data line sets the
     column count; numpy's text reader parses every line, with the classes as
-    integers. A `line N:` error numbers the lines the same way.
+    integers. A `line N:` error names the first bad line when the source can
+    be read again (text, or a seekable file); a pipe gives numpy's message.
     """
-    in_file = not isinstance(source, str)
-    lines = source if in_file else source.splitlines()
-    first = next((line for line in lines if line.split("#", 1)[0].strip()), None)
-    if first is None:
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    head = []
+    for line in source:
+        head.append(line)
+        if line.split("#", 1)[0].strip():
+            break
+    else:
         raise ValueError("point cloud file contains no points")
-    has_class = len(first.split("#", 1)[0].split()) == 4
+    has_class = len(head[-1].split("#", 1)[0].split()) == 4
     dtype = [("xyz", float, 3), ("cls", int)] if has_class else [("xyz", float, 3)]
-    if in_file:
-        source.seek(0)
     try:
-        rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        rows = np.loadtxt(itertools.chain(head, source), dtype=dtype, comments="#", ndmin=1)
     except ValueError as exc:
-        if in_file:
-            source.seek(0)
-        raise _line_error(lines, has_class) or exc from None
+        if not source.seekable():
+            raise
+        source.seek(0)
+        raise _line_error(source, has_class) or exc from None
     cls = np.ascontiguousarray(rows["cls"]) if has_class else None
     return PointCloud3D(np.ascontiguousarray(rows["xyz"]), cls)
 
@@ -86,7 +91,7 @@ def parse_xyz(source: str | TextIO) -> PointCloud3D:
 def _line_error(lines: Iterable[str], has_class: bool) -> ValueError | None:
     """The error of the first data line that is not 'x y z', or 'x y z class'."""
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")  # a file's lines keep their newline
+        line = line.rstrip("\n")
         parts = line.split("#", 1)[0].split()
         if not parts:
             continue

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +571,46 @@ def test_malformed_input_file_exits_2_with_stage(small_scene_dir, tmp_path, caps
     argv = [a.format(bad=bad, scene=small_scene_dir, out=out) for a in argv]
     assert main(argv) == 2
     assert f"error: [{stage}] {bad}: {MALFORMED_MESSAGES.get(content, '')}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def extract_from_fifo(scene: Path, cloud: bytes, tmp_path: Path) -> tuple[int, Path]:
+    """`extract`'s exit code and outdir, with the cloud read from a FIFO that a thread fills."""
+    fifo = tmp_path / "cloud.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:  # blocks until extract opens the cloud
+            f.write(cloud)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    out = tmp_path / "out"
+    rc = main(["extract", "--image", str(scene / "scene.pgm"), "--cloud", str(fifo),
+               "--transform", str(scene / "transform.txt"), "--outdir", str(out)])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return rc, out
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_extract_reads_cloud_from_a_fifo(small_scene_dir, tmp_path):
+    rc, out = extract_from_fifo(small_scene_dir, (small_scene_dir / "cloud.xyz").read_bytes(), tmp_path)
+    assert rc == 0
+    expected = tmp_path / "expected"
+    assert main(["extract", "--image", str(small_scene_dir / "scene.pgm"),
+                 "--cloud", str(small_scene_dir / "cloud.xyz"),
+                 "--transform", str(small_scene_dir / "transform.txt"), "--outdir", str(expected)]) == 0
+    for name in ("footprints.wkt", "buildings.json"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_extract_bad_cloud_from_a_fifo_exits_2_with_numpys_message(small_scene_dir, tmp_path, capsys):
+    rc, out = extract_from_fifo(small_scene_dir, b"0 0 0 2\n1 2 3\n", tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: [cloud] {tmp_path / 'cloud.fifo'}: the dtype passed requires 4 columns but 3 were found at row 2" in err
     assert not out.exists()
 
 

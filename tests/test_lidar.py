@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import re
 import warnings
 
 import numpy as np
@@ -55,12 +57,18 @@ def test_parse_xyz_errors():
         parse_xyz("1 2 3\n1 2 3 4\n")  # inconsistent columns
 
 
+def reader_lines(text: str) -> list[str]:
+    """The lines of `text` as a universal-newline reader breaks them: at LF, CRLF or CR only."""
+    lines = re.split("\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def reference_parse_xyz(text: str) -> PointCloud3D:
     """Line-by-line parser: str.split per line, float() per coordinate, int() per class."""
     rows = []
     classes = []
     has_class = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(reader_lines(text), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -96,6 +104,8 @@ PARSE_CASES = [
     "0.1 0.2 0.30000000000000004\n1e308 -1e-308 2.2250738585072014e-308\n",
     "1 2 3 -1\n4 5 6 9223372036854775807\n",
     "1 2 3",
+    # Form feed, NEL, U+2028 and the separators \x1c-\x1e end no line, so a comment keeps them.
+    "# x\x85 1 2 3 2\u2028 7\x1c 8\x0c\n4 5 6\n",
 ]
 
 
@@ -121,6 +131,7 @@ COLUMN_ERRORS = [
     ("1 2 3\n1 2\n", "line 2: expected 'x y z \\[class\\]'"),
     ("# h\n1 2 3 4 5\n", "line 2: expected 'x y z \\[class\\]'"),
     ("1 2 3\r\n# x\r1 2\r\n", "line 3: expected 'x y z \\[class\\]', got '1 2'$"),
+    ("1 2 3\x0c4 5 6\n", "line 1: expected 'x y z \\[class\\]', got '1 2 3\\\\x0c4 5 6'$"),
 ]
 VALUE_ERRORS = [
     ("1 2 3 2\n4 5 6 2.5\n", "invalid literal for int"),
@@ -141,7 +152,7 @@ def test_parse_xyz_column_errors_equal_reference(text, message):
 def test_parse_xyz_value_errors_name_their_line(text, message):
     with pytest.raises(ValueError, match=message):
         reference_parse_xyz(text)
-    lineno = len(text.rstrip("\n").splitlines())
+    lineno = len(reader_lines(text))
     with pytest.raises(ValueError, match=f"line {lineno}: {message}"):
         parse_xyz(text)
 
@@ -191,6 +202,30 @@ def test_parse_xyz_file_errors_equal_text_errors(tmp_path, text):
         parse_file(cloud_file(tmp_path, text))
     assert str(from_file.value) == str(from_text.value)
     assert str(from_file.value).startswith("line ")
+
+
+def pipe_of(text: str):
+    """A text file that reads `text` from a pipe, which cannot seek; `text` fits the pipe's buffer."""
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as f:
+        f.write(text.encode("utf-8"))
+    return open(read_end, encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", PARSE_CASES)
+def test_parse_xyz_pipe_equals_text(text):
+    with pipe_of(text) as f:
+        assert not f.seekable()
+        _assert_same_cloud(parse_xyz(f), parse_xyz(text))
+
+
+@pytest.mark.parametrize("text", [text for text, _ in COLUMN_ERRORS + VALUE_ERRORS])
+def test_parse_xyz_pipe_error_is_numpys_message(text):
+    # A pipe cannot be read again to name the line, so numpy's own row and column stand.
+    with pipe_of(text) as f:
+        with pytest.raises(ValueError, match=" at row ") as error:
+            parse_xyz(f)
+    assert not isinstance(error.value, OSError)
 
 
 @pytest.mark.parametrize("text", EMPTY_CLOUDS)
